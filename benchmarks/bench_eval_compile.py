@@ -248,7 +248,9 @@ def _verify(compiled: bool, tracer=None):
 
 
 def _comparable_stats(result) -> dict:
-    return dict(sorted(result.stats.items()))
+    # stats["config"] records the toggles that differ between the two
+    # runs by construction; every other key must match.
+    return {k: v for k, v in sorted(result.stats.items()) if k != "config"}
 
 
 def collect() -> dict:

@@ -116,7 +116,7 @@ class ASMTransducer:
         snapshot = Snapshot(
             page=self.page.name,
             state=state.memory,
-            inputs=_inputs_instance(self.service, self.page, choice),
+            inputs=_inputs_instance(self.service, choice),
             prev=state.prev,
             actions=Instance.empty(),
         )

@@ -145,6 +145,51 @@ class EvalContext:
         dom |= set(self.input_values.values())
         self.domain: frozenset = frozenset(dom)
 
+    def overlay(
+        self,
+        state: Instance,
+        inputs: Instance,
+        prev: Instance,
+        actions: Instance,
+        input_values: Mapping[str, Value],
+        page: str | None = None,
+    ) -> "EvalContext":
+        """This context with the four instances and constants replaced.
+
+        For a *base* context built without instances (database, page
+        names, extra domain, declared-empty names), the result has the
+        same relations and domain as constructing the full context
+        anew, provided no instance symbol shares a name with a database
+        relation (the schemas are disjoint, Definition 2.1).  Run
+        semantics builds the base once per run and overlays each step.
+        """
+        ctx = EvalContext.__new__(EvalContext)
+        ctx.database = self.database
+        ctx.state = state
+        ctx.inputs = inputs
+        ctx.prev = prev
+        ctx.actions = actions
+        ctx.input_values = dict(input_values)
+        ctx.page = page
+        ctx.page_names = self.page_names
+        ctx.db_constants = self.db_constants
+        relations = dict(self._relations)
+        dom = self.domain
+        for inst in (state, inputs, prev, actions):
+            if inst:
+                for sym, tuples in inst.items():
+                    relations[sym.name] = tuples
+                adom = inst.active_domain()
+                if not adom <= dom:
+                    dom = dom | adom
+        if input_values:
+            values = frozenset(input_values.values())
+            if not values <= dom:
+                dom = dom | values
+        ctx._relations = relations
+        ctx.domain = dom
+        return ctx
+
     # -- resolution --------------------------------------------------------
 
     def relation_tuples(self, name: str) -> frozenset | None:

@@ -22,6 +22,8 @@ from repro.schema.symbols import RelationSymbol
 Value = Hashable
 Tuple_ = tuple  # tuples of Value
 
+_NO_VALUES: frozenset = frozenset()
+
 
 class Instance:
     """An immutable finite relational instance.
@@ -34,7 +36,7 @@ class Instance:
         be given a bool instead of a tuple set.
     """
 
-    __slots__ = ("_relations", "_hash")
+    __slots__ = ("_relations", "_hash", "_adom")
 
     def __init__(
         self,
@@ -56,6 +58,7 @@ class Instance:
                 relations[sym] = rel
         self._relations: dict[RelationSymbol, frozenset] = relations
         self._hash: int | None = None
+        self._adom: frozenset | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -77,6 +80,10 @@ class Instance:
         """Whether the relation interpreting ``sym`` is empty."""
         return sym not in self._relations
 
+    def items(self):
+        """``(symbol, relation)`` pairs of the nonempty relations, unsorted."""
+        return self._relations.items()
+
     @property
     def nonempty_symbols(self) -> frozenset[RelationSymbol]:
         """Symbols interpreted by a nonempty relation."""
@@ -84,7 +91,12 @@ class Instance:
 
     def active_domain(self) -> frozenset:
         """All domain elements occurring in some tuple of the instance."""
-        return frozenset(v for rel in self._relations.values() for t in rel for v in t)
+        if self._adom is None:
+            # propositional instances share one empty set, not one each
+            self._adom = frozenset(
+                v for rel in self._relations.values() for t in rel for v in t
+            ) or _NO_VALUES
+        return self._adom
 
     def total_tuples(self) -> int:
         """Total number of tuples across all relations."""
@@ -144,6 +156,7 @@ class Instance:
     def __setstate__(self, state) -> None:
         self._relations = state
         self._hash = None
+        self._adom = None
 
     def __bool__(self) -> bool:
         return bool(self._relations)

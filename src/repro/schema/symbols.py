@@ -39,7 +39,11 @@ class RelationSymbol:
 
     Instances are immutable, hashable, and ordered (by name then arity),
     so they can serve as dictionary keys and be sorted deterministically
-    for reproducible output.
+    for reproducible output.  The hash is computed once: symbols key
+    every instance's relation map, so run semantics hashes them on each
+    instance it builds.  It equals the dataclass-generated
+    ``hash((name, arity, kind))``, keeping set and dict iteration order
+    unchanged.
     """
 
     name: str
@@ -51,6 +55,23 @@ class RelationSymbol:
             raise ValueError("relation symbol needs a non-empty name")
         if self.arity < 0:
             raise ValueError(f"negative arity for relation {self.name!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.arity, self.kind))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        # String hashing is seeded per process: never ship the hash.
+        return (self.name, self.arity, self.kind)
+
+    def __setstate__(self, state) -> None:
+        name, arity, kind = state
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_hash", hash(state))
 
     @property
     def is_proposition(self) -> bool:

@@ -321,13 +321,23 @@ class BlockLabelCache:
 
 
 class SnapshotInterner:
-    """Hash-consing for the instances and snapshots of one exploration."""
+    """Hash-consing for the instances and snapshots of one exploration.
 
-    __slots__ = ("_snapshots", "_instances")
+    Besides the canonical representatives it keeps the run-semantics
+    memos that are pure functions of their keys: ``choices`` maps a
+    (page, provided constants, input options) key to that page's user
+    choices, ``inputs`` maps a choice's picks to its interned input
+    instance.  Everything lives and dies with one verification's
+    interner, never process-wide.
+    """
+
+    __slots__ = ("_snapshots", "_instances", "choices", "inputs")
 
     def __init__(self) -> None:
         self._snapshots: dict = {}
         self._instances: dict = {}
+        self.choices: dict = {}
+        self.inputs: dict = {}
 
     def snapshot(self, snap):
         """The canonical representative of ``snap``."""

@@ -113,14 +113,15 @@ class Snapshot:
         # Snapshots are the keys of every BFS ``seen`` set and successor
         # cache; memoising the hash makes re-probing an interned snapshot
         # O(1) instead of re-hashing five instances.
-        h = self.__dict__.get("_hash")
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((
                 self.page, self.state, self.inputs, self.prev, self.actions,
                 self.provided_before, self.is_error, self.pending_error,
             ))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -169,8 +170,8 @@ class RunContext:
     """
 
     __slots__ = (
-        "service", "database", "sigma", "extra_domain", "_decl_names",
-        "compiled", "interner",
+        "service", "database", "sigma", "extra_domain", "compiled",
+        "interner", "_base",
     )
 
     def __init__(
@@ -202,7 +203,16 @@ class RunContext:
         names += [r.name for r in schema.input.relations]
         names += [r.name for r in schema.prev.relations]
         names += [r.name for r in schema.action.relations]
-        self._decl_names = tuple(names)
+        # Everything a step's evaluation context shares with every other
+        # step of the run, built once: database relations, the names
+        # that resolve to the empty relation, page names and the
+        # database-plus-extra domain.  Each step overlays its instances.
+        self._base = EvalContext(
+            database=database,
+            page_names=service.page_names | {service.error_page},
+            extra_domain=self.extra_domain,
+        )
+        self._base.declare_empty(names)
 
     def make_eval_context(
         self,
@@ -219,19 +229,7 @@ class RunContext:
         outside ``gamma`` read as missing (error condition (i)).
         """
         scoped = {c: v for c, v in self.sigma.items() if c in gamma}
-        ctx = EvalContext(
-            database=self.database,
-            state=state,
-            inputs=inputs,
-            prev=prev,
-            actions=actions,
-            input_values=scoped,
-            page=page,
-            page_names=self.service.page_names | {self.service.error_page},
-            extra_domain=self.extra_domain,
-        )
-        ctx.declare_empty(self._decl_names)
-        return ctx
+        return self._base.overlay(state, inputs, prev, actions, scoped, page)
 
     def compiled_page(self, name: str):
         """The page's precompiled rules, or None on the interpreted path."""
@@ -292,8 +290,26 @@ def enumerate_choices(
     requested input constants come from the run's ``sigma``; a constant
     missing from ``sigma`` simply yields no value (and later triggers
     error (i) if read).
+
+    The choices are a function of the page, the provided constants and
+    the options alone, so they are built (and each option list sorted)
+    once per distinct key and kept on the run's interner.
     """
     options = page_options(ctx, page, state, prev, gamma)
+    consts = tuple(sorted(
+        (c, ctx.sigma[c]) for c in page.input_constants if c in ctx.sigma
+    ))
+    key = (page.name, consts, tuple(options.get(n) for n in page.inputs))
+    memo = ctx.interner.choices
+    choices = memo.get(key)
+    if choices is None:
+        choices = memo[key] = tuple(_choices(ctx, page, options, consts))
+    return iter(choices)
+
+
+def _choices(
+    ctx: RunContext, page: WebPageSchema, options: dict, consts: tuple
+) -> Iterator[UserChoice]:
     slots: list[list[tuple[str, tuple] | None]] = []
     for input_name in page.inputs:
         sym = ctx.service.schema.input[input_name]
@@ -305,12 +321,6 @@ def enumerate_choices(
                 (input_name, t) for t in sorted(options.get(input_name, ()), key=repr)
             )
             slots.append(per)
-    provided = {
-        c: ctx.sigma[c]
-        for c in page.input_constants
-        if c in ctx.sigma
-    }
-    consts = tuple(sorted(provided.items()))
     if not slots:
         yield UserChoice(frozenset(), consts)
         return
@@ -319,14 +329,26 @@ def enumerate_choices(
         yield UserChoice(picks, consts)
 
 
-def _inputs_instance(
-    service: WebService, page: WebPageSchema, choice: UserChoice
-) -> Instance:
+def _inputs_instance(service: WebService, choice: UserChoice) -> Instance:
     contents: dict = {}
     for input_name, t in choice.picks:
         sym = service.schema.input[input_name]
         contents.setdefault(sym, set()).add(tuple(t))
     return Instance(contents)
+
+
+def interned_inputs(ctx: RunContext, choice: UserChoice) -> Instance:
+    """The interned input instance of ``choice``, built once per picks.
+
+    The instance depends on the picks alone (not on the page or the
+    constants), so equal picks anywhere in one exploration share it.
+    """
+    memo = ctx.interner.inputs
+    inst = memo.get(choice.picks)
+    if inst is None:
+        inst = ctx.interner.instance(_inputs_instance(ctx.service, choice))
+        memo[choice.picks] = inst
+    return inst
 
 
 def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
@@ -353,7 +375,7 @@ def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
         ctx.interner.snapshot(Snapshot(
             page=home.name,
             state=empty,
-            inputs=ctx.interner.instance(_inputs_instance(service, home, choice)),
+            inputs=interned_inputs(ctx, choice),
             prev=empty,
             actions=empty,
             provided_before=frozenset(),
@@ -556,7 +578,7 @@ def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
         ctx.interner.snapshot(Snapshot(
             page=next_page_name,
             state=next_state,
-            inputs=ctx.interner.instance(_inputs_instance(service, next_page, choice)),
+            inputs=interned_inputs(ctx, choice),
             prev=next_prev,
             actions=next_actions,
             provided_before=gamma,

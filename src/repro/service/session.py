@@ -175,7 +175,7 @@ class Session:
         snapshot = Snapshot(
             page=page.name,
             state=self._state,
-            inputs=_inputs_instance(self.service, page, choice),
+            inputs=_inputs_instance(self.service, choice),
             prev=self._prev,
             actions=self._actions,
             provided_before=self._provided_before,

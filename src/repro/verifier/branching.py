@@ -41,10 +41,10 @@ from repro.service.runs import (
     RunContext,
     Snapshot,
     UserChoice,
-    _inputs_instance,
     deterministic_step,
     enumerate_choices,
     error_snapshot,
+    interned_inputs,
 )
 from repro.service.compiled import SnapshotInterner
 from repro.service.webservice import WebService
@@ -159,9 +159,7 @@ def build_snapshot_kripke(
                     (
                         intern.snapshot(Snapshot(
                             page=page_name, state=state,
-                            inputs=intern.instance(
-                                _inputs_instance(service, page, UserChoice())
-                            ),
+                            inputs=interned_inputs(ctx2, UserChoice()),
                             prev=prev, actions=actions,
                             provided_before=provided_before,
                             pending_error=True,
@@ -175,9 +173,7 @@ def build_snapshot_kripke(
                     (
                         intern.snapshot(Snapshot(
                             page=page_name, state=state,
-                            inputs=intern.instance(
-                                _inputs_instance(service, page, choice)
-                            ),
+                            inputs=interned_inputs(ctx2, choice),
                             prev=prev, actions=actions,
                             provided_before=provided_before,
                         )),

@@ -668,7 +668,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     n_workers = resolve_workers(cfg.workers)
     n_block = (
         resolve_sigma_block(cfg.sigma_block) if proc.has_sigma_block else 1
-    )
+    )  # None: the automatic per-database policy
     tr = resolve_tracer(cfg.tracer)
     gov = Budget.ensure(
         cfg.budget, timeout_s=cfg.timeout_s, strict=cfg.strict,
@@ -761,7 +761,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     snap_base = gov.snapshots_total
     stream = UnitStream(
         dbs, gov, stats, sigma_fn=sigma_fn, resume=cfg.resume,
-        on_database=cfg.on_database, block_size=n_block,
+        on_database=cfg.on_database, block_size=n_block, workers=n_workers,
     )
     # ROADMAP item 3's work-stealing scheduler replaces this call (and
     # only this call): every entry point, the CLI and the server run
@@ -783,7 +783,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         "strict": gov.strict,
     }
     if proc.has_sigma_block:
-        config["sigma_block"] = n_block
+        config["sigma_block"] = stream.block_used
     stats["config"] = config
 
     if outcome.violation is not None:

@@ -398,73 +398,81 @@ def _check_ltlfo_unit(
                 computed=bits_computed, shared=bits_shared,
             )
 
-    for sigma_index, sigma in pairs:
-        sigma = sigma or {}
-        gov.begin_pair()
-        stats["sigmas_checked"] += 1
-        ctx = RunContext(
-            service, db, sigma=sigma, extra_domain=literals, interner=interner
-        )
-        labeller = _SnapshotLabeller(ctx, literals, variables=names)
-        succ_cache: dict[Snapshot, list[Snapshot]] = {}
+    try:
+        for sigma_index, sigma in pairs:
+            sigma = sigma or {}
+            done = dict(stats)
+            gov.begin_pair()
+            stats["sigmas_checked"] += 1
+            ctx = RunContext(
+                service, db, sigma=sigma, extra_domain=literals, interner=interner
+            )
+            labeller = _SnapshotLabeller(ctx, literals, variables=names)
+            succ_cache: dict[Snapshot, list[Snapshot]] = {}
 
-        def succ(
-            snap: Snapshot, _ctx=ctx, _cache=succ_cache, _sigma=sigma
-        ) -> list[Snapshot]:
-            out = _cache.get(snap)
-            if out is None:
-                if shared_succ is None:
-                    out = successors(_ctx, snap)
-                else:
-                    relevant = snap.provided_here(service) | page_extra.get(
-                        snap.page, frozenset()
-                    )
-                    scoped = tuple(sorted(
-                        (c, _sigma[c]) for c in relevant if c in _sigma
-                    ))
-                    skey = (snap, scoped)
-                    out = shared_succ.get(skey)
-                    if out is None:
+            def succ(
+                snap: Snapshot, _ctx=ctx, _cache=succ_cache, _sigma=sigma
+            ) -> list[Snapshot]:
+                out = _cache.get(snap)
+                if out is None:
+                    if shared_succ is None:
                         out = successors(_ctx, snap)
-                        shared_succ[skey] = out
-                # Per-sigma accounting even when the computation was
-                # shared: charges and stats stay block-size-independent.
-                _cache[snap] = out
-                stats["snapshots_explored"] += 1
-                gov.charge_snapshot()
-            return out
+                    else:
+                        relevant = snap.provided_here(service) | page_extra.get(
+                            snap.page, frozenset()
+                        )
+                        scoped = tuple(sorted(
+                            (c, _sigma[c]) for c in relevant if c in _sigma
+                        ))
+                        skey = (snap, scoped)
+                        out = shared_succ.get(skey)
+                        if out is None:
+                            out = successors(_ctx, snap)
+                            shared_succ[skey] = out
+                    # Per-sigma accounting even when the computation was
+                    # shared: charges and stats stay block-size-independent.
+                    _cache[snap] = out
+                    stats["snapshots_explored"] += 1
+                    gov.charge_snapshot()
+                return out
 
-        starts = initial_snapshots(ctx)
-        valuation_domain = sorted(
-            set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
-            key=repr,
-        )
-        if setwise:
-            found = _search_valuations_setwise(
-                ba, starts, succ, labeller, names, valuation_domain,
-                gov, stats, shared,
+            starts = initial_snapshots(ctx)
+            valuation_domain = sorted(
+                set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
+                key=repr,
             )
-            bits_computed += labeller.bits_computed
-            bits_shared += labeller.bits_shared
-        else:
-            found = _search_valuations(
-                ba, starts, succ, labeller, names, valuation_domain,
-                gov, stats,
-            )
-        if found is not None:
-            lasso, valuation = found
-            run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)
-            detail: dict = {"run": run}
-            if spec.payload.get("confirm", True):
-                detail["confirmed"] = not _violation_confirmed_holds(
-                    sentence, run, service, ctx, valuation
+            if setwise:
+                found = _search_valuations_setwise(
+                    ba, starts, succ, labeller, names, valuation_domain,
+                    gov, stats, shared,
                 )
-            emit_bits()
-            return UnitOutcome(
-                unit.db_index, sigma_index, VIOLATED,
-                stats=stats, detail=detail, covered=covered,
-            )
-        covered.append((unit.db_index, sigma_index))
+                bits_computed += labeller.bits_computed
+                bits_shared += labeller.bits_shared
+            else:
+                found = _search_valuations(
+                    ba, starts, succ, labeller, names, valuation_domain,
+                    gov, stats,
+                )
+            if found is not None:
+                lasso, valuation = found
+                run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)
+                detail: dict = {"run": run}
+                if spec.payload.get("confirm", True):
+                    detail["confirmed"] = not _violation_confirmed_holds(
+                        sentence, run, service, ctx, valuation
+                    )
+                emit_bits()
+                return UnitOutcome(
+                    unit.db_index, sigma_index, VIOLATED,
+                    stats=stats, detail=detail, covered=covered,
+                )
+            covered.append((unit.db_index, sigma_index))
+    except VerificationBudgetExceeded as exc:
+        # Struck mid-block: the sigmas already finished are done units
+        # (see VerificationBudgetExceeded.unit_progress).
+        if covered:
+            exc.unit_progress = (sigma_index, done, list(covered))
+        raise
     emit_bits()
     return UnitOutcome(
         unit.db_index, unit.sigma_index, CLEAN, stats=stats, covered=covered
@@ -644,8 +652,10 @@ def verify_ltlfo(
         not the first to finish.
     sigma_block:
         Batch that many consecutive sigmas of each database into one
-        work unit (default: ``REPRO_SIGMA_BLOCK``, else 1 — classic
-        one-pair units).  Blocked units share the snapshot interner and
+        work unit (default: ``REPRO_SIGMA_BLOCK``, else automatic —
+        ``ceil(n_sigmas / workers)`` per database, so a sequential run
+        checks each database as one unit; 1 gives classic one-pair
+        units).  Blocked units share the snapshot interner and
         the set-at-a-time label bitsets across their sigmas and cut
         pool dispatch overhead; verdicts, counterexamples and stats are
         block-size-independent (resume granularity coarsens to the

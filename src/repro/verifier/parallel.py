@@ -127,6 +127,7 @@ __all__ = [
     "unit_checker",
     "resolve_workers",
     "resolve_sigma_block",
+    "auto_sigma_block",
     "frontier_checkpoint",
     "merge_unit_stats",
     "CLEAN",
@@ -173,13 +174,17 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def resolve_sigma_block(sigma_block: int | None) -> int:
-    """The effective sigma-block size for one verification call.
+def resolve_sigma_block(sigma_block: int | None) -> int | None:
+    """The explicit sigma-block size for one verification call.
 
     ``None`` falls back to the ``REPRO_SIGMA_BLOCK`` environment
-    variable and finally to 1 — classic one-sigma work units.  Sizes
-    above 1 batch that many consecutive sigmas of a database into one
-    ``(db_index, sigma_block)`` unit (see :class:`WorkUnit`).
+    variable and finally to None — the automatic policy: each database's
+    sigmas are split into ``workers`` blocks of
+    :func:`auto_sigma_block` consecutive sigmas, so a sequential run
+    checks every database as one unit.  An explicit size batches that
+    many consecutive sigmas of a database into one
+    ``(db_index, sigma_block)`` unit (see :class:`WorkUnit`); 1 gives
+    classic one-sigma units.
     """
     if sigma_block is None:
         raw = os.environ.get("REPRO_SIGMA_BLOCK", "").strip()
@@ -190,11 +195,19 @@ def resolve_sigma_block(sigma_block: int | None) -> int:
                 raise ValueError(
                     f"REPRO_SIGMA_BLOCK must be an integer, got {raw!r}"
                 ) from None
-    if sigma_block is None:
-        return 1
-    if sigma_block < 1:
+    if sigma_block is not None and sigma_block < 1:
         raise ValueError(f"sigma_block must be >= 1, got {sigma_block}")
     return sigma_block
+
+
+def auto_sigma_block(n_sigmas: int, workers: int) -> int:
+    """The automatic block size: ``ceil(n_sigmas / workers)``, at least 1.
+
+    The sigmas of one database share almost all of their snapshot
+    graph, so the fewest units that still keep every worker busy on
+    that database share the most.
+    """
+    return max(1, -(-n_sigmas // workers))
 
 
 @dataclass(frozen=True)
@@ -235,10 +248,12 @@ class UnitOutcome:
     ``status`` is ``clean`` (no violation), ``violated`` (``detail``
     carries the procedure-specific counterexample payload), or
     ``budget`` (the unit's own governor struck; ``limit``/``message``
-    say which, ``stats`` holds the partial counters).  ``events`` is the
-    unit's trace-event batch (empty unless the task spec is traced):
-    pool workers collect locally and ship the batch back here, and the
-    parent merges batches into its tracer in cursor order.
+    say which, ``stats`` holds the struck sigma's partial counters and
+    ``detail`` those of the sigmas a blocked unit finished first).
+    ``events`` is the unit's trace-event batch (empty unless the task
+    spec is traced): pool workers collect locally and ship the batch
+    back here, and the parent merges batches into its tracer in cursor
+    order.
     """
 
     db_index: int
@@ -387,16 +402,29 @@ def _execute_unit(
     try:
         outcome = _CHECKERS[spec.procedure](spec, unit, gov, cache)
     except VerificationBudgetExceeded as exc:
+        sigma_index, done, covered = exc.unit_progress or (
+            unit.sigma_index, None, []
+        )
+        # The struck sigma's own counts: a blocked unit's governor also
+        # counted the sigmas it finished first (``done``).
         stats = dict(exc.stats)
-        stats.setdefault("snapshots_explored", gov.snapshots_total)
-        stats.setdefault("valuations_checked", gov.valuations)
+        stats.setdefault(
+            "snapshots_explored",
+            gov.snapshots_total - (done or {}).get("snapshots_explored", 0),
+        )
+        stats.setdefault(
+            "valuations_checked",
+            gov.valuations - (done or {}).get("valuations_checked", 0),
+        )
         outcome = UnitOutcome(
             unit.db_index,
-            unit.sigma_index,
+            sigma_index,
             BUDGET,
             stats=stats,
             limit=exc.limit,
             message=str(exc),
+            detail=done,
+            covered=covered,
         )
     if tracer.active:
         tracer.emit(
@@ -443,14 +471,18 @@ class UnitStream:
         sigma_fn: Callable[[Any], Iterable[Mapping[str, Any]]] | None = None,
         resume: Checkpoint | None = None,
         on_database: Callable[[Any], None] | None = None,
-        block_size: int = 1,
+        block_size: int | None = 1,
+        workers: int = 1,
     ) -> None:
         self._databases = databases
         self._gov = gov
         self._stats = stats
         self._sigma_fn = sigma_fn
         self._on_database = on_database
-        self._block_size = max(1, block_size)
+        self._block_size = block_size
+        self._workers = workers
+        #: the largest block size used so far (``stats["config"]``)
+        self.block_used = block_size or 1
         self._skip_db = resume.db_index if resume is not None else 0
         self._skip_sigma = resume.sigma_index if resume is not None else 0
         self._done = resume.completed_units() if resume is not None else frozenset()
@@ -483,34 +515,39 @@ class UnitStream:
                 yield WorkUnit(db_index, 0, db, None)
                 continue
             n_sigmas = 0
+            sigmas = self._sigma_fn(db)
+            size = self._block_size
+            if size is None:
+                sigmas = list(sigmas)
+                size = auto_sigma_block(len(sigmas), self._workers)
+            self.block_used = max(self.block_used, size)
             # Pending (sigma_index, sigma) pairs batched into units of
-            # up to block_size consecutive sigmas (size 1 — the default
-            # — reproduces the classic one-pair unit exactly, pickled
-            # form included).
+            # up to ``size`` consecutive sigmas (size 1 reproduces the
+            # classic one-pair unit exactly, pickled form included).
             batch: list[tuple[int, dict]] = []
-            for sigma_index, sigma in enumerate(self._sigma_fn(db)):
+            for sigma_index, sigma in enumerate(sigmas):
                 n_sigmas += 1
                 if db_index == self._skip_db and sigma_index < self._skip_sigma:
                     continue
                 if (db_index, sigma_index) in self._done:
                     continue
                 batch.append((sigma_index, dict(sigma)))
-                if len(batch) >= self._block_size:
-                    yield self._make_unit(db_index, db, batch)
+                if len(batch) >= size:
+                    yield self._make_unit(db_index, db, batch, size)
                     batch = []
             if batch:
-                yield self._make_unit(db_index, db, batch)
+                yield self._make_unit(db_index, db, batch, size)
             if tracer.active:
                 tracer.emit(
                     "sigma.batch", cursor=(db_index, 0), count=n_sigmas
                 )
 
     def _make_unit(
-        self, db_index: int, db, batch: list[tuple[int, dict]]
+        self, db_index: int, db, batch: list[tuple[int, dict]], size: int
     ) -> WorkUnit:
         first_index, first_sigma = batch[0]
         self.cursor = (db_index, first_index)
-        if len(batch) == 1 and self._block_size == 1:
+        if size == 1:
             return WorkUnit(db_index, first_index, db, first_sigma)
         return WorkUnit(
             db_index, first_index, db, first_sigma,
@@ -1077,6 +1114,13 @@ def _run_sequential(
     except VerificationBudgetExceeded as exc:
         out.interrupted = exc
         out.pending = [stream.cursor]
+        if exc.unit_progress is not None:
+            # a blocked unit struck mid-block: book the sigmas it
+            # finished, exactly as one-sigma units would have been
+            sigma_index, done, covered = exc.unit_progress
+            out.completed.extend(covered)
+            merge_unit_stats(out.unit_stats, done)
+            out.pending = [(stream.cursor[0], sigma_index)]
         sup.write_checkpoint(tracer, out, incomplete=out.pending)
     return out
 
@@ -1163,8 +1207,13 @@ def _run_pool(
         if result.events:
             events_by_cursor[unit.cursor] = result.events
         if result.status == BUDGET:
-            out.pending.append(unit.cursor)
-            stats_by_cursor[unit.cursor] = result.stats
+            # a blocked unit struck mid-block reports the sigmas it
+            # finished first (cursors and stats), the struck sigma as
+            # its cursor
+            out.completed.extend(result.covered)
+            out.pending.append(result.cursor)
+            stats_by_cursor[unit.cursor] = dict(result.detail or {})
+            merge_unit_stats(stats_by_cursor[unit.cursor], result.stats)
             interrupt(
                 VerificationBudgetExceeded(
                     result.message, limit=result.limit, stats=result.stats,

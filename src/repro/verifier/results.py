@@ -56,6 +56,12 @@ class VerificationBudgetExceeded(Exception):
     of the work already done, and — when a public entry point re-raises
     in strict mode — the resumable ``checkpoint``, so even strict-mode
     callers don't lose the completed prefix of the search.
+
+    ``unit_progress`` is set when the strike hit a multi-sigma work unit
+    after it finished some of its sigmas: ``(struck sigma index, stats
+    of the finished sigmas, their cursors)``.  The unit runners book the
+    finished sigmas as completed units, so an interrupted run reports
+    the same stats and resume cursor whatever the unit size.
     """
 
     def __init__(
@@ -70,6 +76,7 @@ class VerificationBudgetExceeded(Exception):
         self.limit = limit
         self.stats: dict[str, Any] = dict(stats or {})
         self.checkpoint = checkpoint
+        self.unit_progress: tuple[int, dict, list] | None = None
 
 
 @dataclass

@@ -324,3 +324,128 @@ def test_fold_budget_always_vs_on_demand():
     assert gov2.max_snapshots == 123
     assert gov2.max_states == 123
     assert gov2.strict is True
+
+
+# ---------------------------------------------------------------------------
+# automatic sigma blocking: the default is block-size-independent
+# ---------------------------------------------------------------------------
+
+#: Several sigmas of the core demo database: the violation of ``G !CP``
+#: sits on the middle one, and a small snapshot cap strikes the second.
+_CORE_SIGMAS = [
+    {"name": "bob", "password": "x"},
+    {"name": "alice", "password": "pw1"},
+    {"name": "alice", "password": "pw-alice"},
+]
+
+_EXTRA_MULTI_SIGMA_CASES = [
+    {"id": "ltlfo-core-sigmas-holds", "entry": "verify_ltlfo",
+     "spec": "core.json", "ltl": "G !ERROR",
+     "options": {"databases": "core", "sigmas": _CORE_SIGMAS}},
+    {"id": "ltlfo-core-sigmas-violated", "entry": "verify_ltlfo",
+     "spec": "core.json", "ltl": "G !CP",
+     "options": {"databases": "core", "sigmas": _CORE_SIGMAS}},
+    {"id": "ltlfo-core-sigmas-struck", "entry": "verify_ltlfo",
+     "spec": "core.json", "ltl": "G !ERROR",
+     "options": {"databases": "core", "sigmas": _CORE_SIGMAS,
+                 "budget": {"max_snapshots": 5}}},
+    {"id": "ltlfo-core-sigmas-struck-strict", "entry": "verify_ltlfo",
+     "spec": "core.json", "ltl": "G !ERROR",
+     "options": {"databases": "core", "sigmas": _CORE_SIGMAS,
+                 "budget": {"max_snapshots": 5, "strict": True}}},
+]
+
+
+def _multi_sigma(case) -> bool:
+    """LTL runs over more than one sigma per database (enumerated or
+    listed) — the runs sigma blocking applies to."""
+    if "ltl" not in case:
+        return False
+    return len(case["options"].get("sigmas", [{}, {}])) > 1
+
+
+MULTI_SIGMA_CASES = [
+    c for c in CASES if _multi_sigma(c)
+] + _EXTRA_MULTI_SIGMA_CASES
+
+
+def _run_outcome(case, workers, sigma_block):
+    """Fingerprint of one run; a strict strike compares its exception."""
+    from repro.verifier import VerificationBudgetExceeded
+
+    options = dict(case["options"], sigma_block=sigma_block)
+    try:
+        _, result = run_case(dict(case, options=options), workers=workers)
+    except VerificationBudgetExceeded as exc:
+        stats = {k: v for k, v in exc.stats.items() if k != "config"}
+        return {"raised": exc.limit, "stats": stats,
+                "checkpoint": exc.checkpoint.to_dict()}
+    return json.loads(json.dumps(fingerprint(result)))
+
+
+def test_multi_sigma_cases_exist():
+    assert {c["id"] for c in MULTI_SIGMA_CASES} >= {"ltlfo-core-inconclusive"}
+
+
+@pytest.mark.parametrize(
+    "case", MULTI_SIGMA_CASES, ids=[c["id"] for c in MULTI_SIGMA_CASES]
+)
+@pytest.mark.parametrize("workers", [1, 2], ids=["seq", "pool"])
+def test_auto_sigma_block_matches_one_sigma_units(case, workers, monkeypatch):
+    """The default (automatic) block size gives the verdict, witness,
+    stats and checkpoint of classic one-sigma units."""
+    monkeypatch.delenv("REPRO_SIGMA_BLOCK", raising=False)
+    auto = _run_outcome(case, workers, None)
+    classic = _run_outcome(case, workers, 1)
+    assert auto == classic
+
+
+def test_auto_policy_resolution(monkeypatch):
+    from repro.verifier.parallel import auto_sigma_block, resolve_sigma_block
+
+    monkeypatch.delenv("REPRO_SIGMA_BLOCK", raising=False)
+    assert resolve_sigma_block(None) is None  # automatic
+    assert resolve_sigma_block(3) == 3
+    monkeypatch.setenv("REPRO_SIGMA_BLOCK", "1")
+    assert resolve_sigma_block(None) == 1
+    assert resolve_sigma_block(4) == 4  # an explicit size wins
+    assert [auto_sigma_block(n, 1) for n in (0, 1, 5)] == [1, 1, 5]
+    assert [auto_sigma_block(n, 2) for n in (1, 4, 5)] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_auto_policy_unit_shapes(workers):
+    """One unit per database sequentially; ``ceil(n / 2)`` sigmas per
+    unit with two workers."""
+    from repro.verifier import Budget
+    from repro.verifier.parallel import UnitStream
+
+    sigmas = {"dbA": 5, "dbB": 1, "dbC": 4}
+    stats = {"databases_checked": 0, "databases_skipped": 0}
+    stream = UnitStream(
+        list(sigmas), Budget.ensure(None), stats,
+        sigma_fn=lambda db: [{"c": i} for i in range(sigmas[db])],
+        block_size=None, workers=workers,
+    )
+    shapes: dict[str, list[int]] = {}
+    for unit in stream:
+        shapes.setdefault(unit.database, []).append(len(unit.sigma_pairs()))
+    if workers == 1:
+        assert shapes == {"dbA": [5], "dbB": [1], "dbC": [4]}
+        assert stream.block_used == 5
+    else:
+        assert shapes == {"dbA": [3, 2], "dbB": [1], "dbC": [2, 2]}
+        assert stream.block_used == 3
+
+
+def test_auto_policy_recorded_in_config(monkeypatch):
+    """stats["config"]["sigma_block"] records the resolved size."""
+    monkeypatch.delenv("REPRO_SIGMA_BLOCK", raising=False)
+    case = next(c for c in MULTI_SIGMA_CASES
+                if c["id"] == "ltlfo-core-sigmas-holds")
+    for workers, size in ((1, 3), (2, 2)):
+        _, result = run_case(case, workers=workers)
+        assert result.stats["config"]["sigma_block"] == size
+    options = dict(case["options"], sigma_block=1)
+    _, result = run_case(dict(case, options=options), workers=1)
+    assert result.stats["config"]["sigma_block"] == 1

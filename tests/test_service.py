@@ -406,10 +406,9 @@ class TestRunSemantics:
 
 def _start_with(ctx, service, picks) -> Snapshot:
     """The initial snapshot with exactly the given picks."""
-    wanted = UserChoice.of(picks=picks)
-    from repro.service.runs import _inputs_instance
+    from repro.service.runs import interned_inputs
 
-    target_inputs = _inputs_instance(service, service.page(service.home), wanted)
+    target_inputs = interned_inputs(ctx, UserChoice.of(picks=picks))
     for snap in initial_snapshots(ctx):
         if snap.inputs == target_inputs:
             return snap
@@ -554,3 +553,116 @@ class TestClassification:
         text = classify(demo_service).describe()
         assert "input-bounded" in text and "[no ]" in text
         assert "[yes]" in classify(core).describe()
+
+
+# ---------------------------------------------------------------------------
+# run-semantics sharing: symbol hashes, interned inputs, context overlays
+# ---------------------------------------------------------------------------
+
+def _reachable(ctx, limit=300):
+    """Up to ``limit`` snapshots reachable from the start, BFS order."""
+    frontier = list(initial_snapshots(ctx))
+    seen = list(frontier)
+    known = set(frontier)
+    while frontier and len(seen) < limit:
+        snap = frontier.pop(0)
+        for nxt in successors(ctx, snap):
+            if nxt not in known:
+                known.add(nxt)
+                seen.append(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+class TestRunSharing:
+    def test_symbol_hash_equals_field_tuple_hash(self):
+        from repro.schema import input_relation, prev_symbol, state_relation
+
+        for sym in (
+            database_relation("item", 2),
+            state_relation("visited"),
+            input_relation("pick", 1),
+            prev_symbol(input_relation("pick", 1)),
+        ):
+            assert hash(sym) == hash((sym.name, sym.arity, sym.kind))
+
+    def test_symbol_hash_recomputed_after_pickling(self):
+        import pickle
+
+        from repro.schema import input_relation
+
+        sym = input_relation("pick", 1)
+        back = pickle.loads(pickle.dumps(sym))
+        assert back == sym and hash(back) == hash(sym)
+        assert {back: 1}[sym] == 1
+
+    def test_equal_choices_share_one_inputs_instance(self, toy_service, toy_db):
+        from repro.service.runs import interned_inputs
+
+        ctx = RunContext(toy_service, toy_db)
+        home = toy_service.page("HP")
+        empty = Instance.empty()
+        first = list(enumerate_choices(ctx, home, empty, empty, frozenset()))
+        again = list(enumerate_choices(ctx, home, empty, empty, frozenset()))
+        assert first == again and len(first) == 9
+        for a, b in zip(first, again):
+            assert interned_inputs(ctx, a) is interned_inputs(ctx, b)
+        built = UserChoice.of({"button": ("go",), "pick": ("i1",)})
+        rebuilt = UserChoice.of({"pick": ("i1",), "button": ("go",)})
+        assert interned_inputs(ctx, built) is interned_inputs(ctx, rebuilt)
+        # the start snapshots carry exactly those interned instances
+        interned = {id(interned_inputs(ctx, c)) for c in first}
+        assert {id(s.inputs) for s in initial_snapshots(ctx)} == interned
+
+    def test_successor_inputs_are_interned(self, toy_service, toy_db):
+        ctx = RunContext(toy_service, toy_db)
+        by_value: dict = {}
+        for snap in _reachable(ctx):
+            by_value.setdefault(snap.inputs, set()).add(id(snap.inputs))
+        assert by_value and all(len(ids) == 1 for ids in by_value.values())
+
+    @pytest.mark.parametrize("sigma", [
+        {"name": "alice", "password": "pw1"},
+        # values outside the database widen the step domains
+        {"name": "mallory", "password": "pw-x"},
+    ])
+    def test_overlay_matches_constructor(self, core, core_db, sigma):
+        from repro.fol.evaluation import EvalContext
+
+        ctx = RunContext(core, core_db, sigma=sigma, extra_domain=("zz",))
+        schema = core.schema
+        declared = [
+            sym.name
+            for part in (schema.state, schema.input, schema.prev, schema.action)
+            for sym in part.relations
+        ]
+        names = declared + [sym.name for sym in schema.database.relations]
+        snaps = _reachable(ctx)
+        assert len(snaps) > 3
+        widened = 0
+        for snap in snaps:
+            gamma = snap.provided_here(core)
+            got = ctx.make_eval_context(
+                snap.state, snap.inputs, snap.prev, snap.actions,
+                gamma=gamma, page=snap.page,
+            )
+            want = EvalContext(
+                database=core_db,
+                state=snap.state,
+                inputs=snap.inputs,
+                prev=snap.prev,
+                actions=snap.actions,
+                input_values={c: v for c, v in sigma.items() if c in gamma},
+                page=snap.page,
+                page_names=core.page_names | {core.error_page},
+                extra_domain=ctx.extra_domain,
+            )
+            want.declare_empty(declared)
+            for name in names:
+                assert got.relation_tuples(name) == want.relation_tuples(name)
+            assert got.relation_tuples("no_such_relation") is None
+            assert got.domain == want.domain
+            widened += not got.domain <= core_db.domain | ctx.extra_domain
+            assert got.input_values == want.input_values
+            assert (got.page, got.page_names) == (want.page, want.page_names)
+        assert bool(widened) == (sigma["name"] == "mallory")
