@@ -9,9 +9,14 @@ E12 registration workload, in two regimes:
   the phase the compiler targets: plans are built once and re-run, so
   per-call analysis (variable resolution, guard-atom selection, join
   order) drops out of the loop.
-- **end to end** — a full :func:`verify_ltlfo` call with compilation on
-  vs off.  Smaller ratio, honestly recorded: BFS bookkeeping and the
+- **end to end** — a full :func:`verify_ltlfo` call on the production
+  path vs the interpreted reference engine of :mod:`repro.reference`
+  (interpreted rule and property evaluation, valuation-at-a-time
+  search).  Smaller ratio, honestly recorded: BFS bookkeeping and the
   product construction are unaffected by the evaluator.
+
+E14 and E15 compare production against the two other reference pieces
+(the valuation-at-a-time search, unpruned plans) the same way.
 
 Run as a script to emit ``BENCH_compile.json``::
 
@@ -25,6 +30,7 @@ timing so the cost of compilation itself stays visible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from collections import deque
@@ -32,13 +38,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.fol import And, Atom, Not, Var, compilation, evaluate, evaluate_query
-from repro.fol.bitset import setwise
+from repro.fol import (
+    And,
+    Atom,
+    Not,
+    Var,
+    evaluate,
+    evaluate_interpreted,
+    evaluate_query,
+    evaluate_query_interpreted,
+)
 from repro.fol.compile import clear_compile_cache
 from repro.ltl import B, LTLFOSentence
 from repro.obs import CollectingTracer
+from repro.reference import reference_engine
 from repro.service import RunContext, ServiceBuilder, initial_snapshots, successors
-from repro.service.compiled import pruning, pruning_stats
+from repro.service.compiled import pruning_stats
 from repro.verifier import verify_ltlfo
 
 from workloads import (
@@ -67,6 +82,14 @@ def _workload():
     return service, prop
 
 
+def _engine(service, reference=None):
+    """Production when ``reference`` is None, else the scope of that
+    ``(plans, search)`` reference engine (sequential runs only)."""
+    if reference is None:
+        return contextlib.nullcontext()
+    return reference_engine(service, *reference)
+
+
 def _reachable_snapshots(service, db):
     """All reachable snapshots of the (service, db) configuration graph."""
     ctx = RunContext(service, db)
@@ -89,36 +112,32 @@ def _eval_phase(service, db, snaps, compiled: bool, reps: int = EVAL_PHASE_REPS)
 
     Returns (seconds, checksum) — the checksum (total solve-set sizes
     plus target-rule truth count) must be identical between engines.
+    ``compiled=False`` runs the reference interpreter.
     """
-    with compilation(compiled):
-        clear_compile_cache()
-        ctx = RunContext(service, db)
-        ectxs = []
-        for snap in snaps:
-            page = service.page(snap.page)
-            ectxs.append((page, ctx.make_eval_context(
-                snap.state, snap.inputs, snap.prev, snap.actions,
-                gamma=snap.provided_before, page=snap.page,
-            )))
-        started = time.perf_counter()
-        checksum = 0
-        for _ in range(reps):
-            for page, ectx in ectxs:
-                for rule in page.input_rules:
-                    checksum += len(
-                        evaluate_query(rule.formula, rule.variables, ectx)
-                    )
-                for rule in page.state_rules:
-                    checksum += len(
-                        evaluate_query(rule.formula, rule.variables, ectx)
-                    )
-                for rule in page.action_rules:
-                    checksum += len(
-                        evaluate_query(rule.formula, rule.variables, ectx)
-                    )
-                for rule in page.target_rules:
-                    checksum += evaluate(rule.formula, ectx)
-        return time.perf_counter() - started, checksum
+    check = evaluate if compiled else evaluate_interpreted
+    solve = evaluate_query if compiled else evaluate_query_interpreted
+    clear_compile_cache()
+    ctx = RunContext(service, db)
+    ectxs = []
+    for snap in snaps:
+        page = service.page(snap.page)
+        ectxs.append((page, ctx.make_eval_context(
+            snap.state, snap.inputs, snap.prev, snap.actions,
+            gamma=snap.provided_before, page=snap.page,
+        )))
+    started = time.perf_counter()
+    checksum = 0
+    for _ in range(reps):
+        for page, ectx in ectxs:
+            for rule in page.input_rules:
+                checksum += len(solve(rule.formula, rule.variables, ectx))
+            for rule in page.state_rules:
+                checksum += len(solve(rule.formula, rule.variables, ectx))
+            for rule in page.action_rules:
+                checksum += len(solve(rule.formula, rule.variables, ectx))
+            for rule in page.target_rules:
+                checksum += check(rule.formula, ectx)
+    return time.perf_counter() - started, checksum
 
 
 def _e14_workload():
@@ -153,10 +172,12 @@ def _e14_workload():
 
 
 def _verify_e14(setwise_on: bool, sigma_block: int):
-    """One timed E14 run: compiled plans, sigma blocking as given."""
+    """One timed E14 run: compiled plans, sigma blocking as given;
+    ``setwise_on=False`` runs the valuation-at-a-time reference search."""
     service, prop, databases = _e14_workload()
-    with compilation(True), setwise(setwise_on):
-        clear_compile_cache()
+    clear_compile_cache()
+    reference = None if setwise_on else ("pruned", "valuations")
+    with _engine(service, reference):
         started = time.perf_counter()
         result = verify_ltlfo(
             service, prop, databases=databases, workers=1,
@@ -225,10 +246,12 @@ def _e15_workload():
 
 
 def _verify_e15(pruned: bool):
-    """One timed E15 run: compiled plans, pruning as given."""
+    """One timed E15 run: compiled plans; ``pruned=False`` runs the
+    unpruned reference plans."""
     service, prop = _e15_workload()
-    with compilation(True), pruning(pruned):
-        clear_compile_cache()
+    clear_compile_cache()
+    reference = None if pruned else ("unpruned", "setwise")
+    with _engine(service, reference):
         started = time.perf_counter()
         result = verify_ltlfo(service, prop, domain_size=2, workers=1)
         elapsed = time.perf_counter() - started
@@ -237,9 +260,12 @@ def _verify_e15(pruned: bool):
 
 
 def _verify(compiled: bool, tracer=None):
+    """One timed E13 run; ``compiled=False`` runs the interpreted
+    reference engine."""
     service, prop = _workload()
-    with compilation(compiled):
-        clear_compile_cache()
+    clear_compile_cache()
+    reference = None if compiled else ("interpreted", "valuations")
+    with _engine(service, reference):
         started = time.perf_counter()
         result = verify_ltlfo(
             service, prop, domain_size=2, workers=1, tracer=tracer
@@ -248,8 +274,8 @@ def _verify(compiled: bool, tracer=None):
 
 
 def _comparable_stats(result) -> dict:
-    # stats["config"] records the toggles that differ between the two
-    # runs by construction; every other key must match.
+    # stats["config"] is run provenance, not work done; every other key
+    # must match.
     return {k: v for k, v in sorted(result.stats.items()) if k != "config"}
 
 

@@ -583,7 +583,7 @@ def _clear_facts_cache() -> None:
 
 
 # the compiled layer's cache-clearing hook also resets analysis memos,
-# so tests that flip toggles start from a cold, coherent state
+# so one clear_compile_cache() call leaves plans and facts equally cold
 from repro.fol.compile import register_cache_clearer  # noqa: E402
 
 register_cache_clearer(_clear_facts_cache)

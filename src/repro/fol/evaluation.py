@@ -240,17 +240,13 @@ def eval_term(term: Term, ctx: EvalContext, env: Env) -> Value:
 def evaluate(formula: Formula, ctx: EvalContext, env: Env | None = None) -> bool:
     """Truth value of ``formula`` in ``ctx`` under ``env``.
 
-    Thin wrapper: when plan compilation is enabled (the default), the
-    formula is compiled once into a :class:`~repro.fol.compile.Plan`
-    (cached on the formula and the environment's key set) and the plan
-    runs; otherwise the reference interpreter below runs.  Both paths
-    produce identical results and exceptions.
+    Thin wrapper: the formula is compiled once into a plan (cached on
+    the formula and the environment's key set) and the plan runs; the
+    reference interpreter below gives identical results and exceptions.
     """
     base = dict(env or {})
-    if _compile_mod.compilation_enabled():
-        plan = _compile_mod.compile_formula(formula, frozenset(base))
-        return plan.check(ctx, base)
-    return _eval(formula, ctx, base)
+    plan = _compile_mod.compile_formula(formula, frozenset(base))
+    return plan.check(ctx, base)
 
 
 def evaluate_interpreted(
@@ -498,15 +494,11 @@ def evaluate_query(
     ``formula`` (the semantics of input-option rules, Definition 2.1).
 
     Thin wrapper over a cached :class:`~repro.fol.compile.CompiledQuery`
-    plan when compilation is enabled; the interpreter otherwise.
+    plan; :func:`evaluate_query_interpreted` is the reference.
     """
     base = dict(env or {})
-    if _compile_mod.compilation_enabled():
-        plan = _compile_mod.compile_query(
-            formula, tuple(free_vars), frozenset(base)
-        )
-        return plan.solve(ctx, base)
-    return evaluate_query_interpreted(formula, free_vars, ctx, base)
+    plan = _compile_mod.compile_query(formula, tuple(free_vars), frozenset(base))
+    return plan.solve(ctx, base)
 
 
 def evaluate_query_interpreted(

@@ -65,8 +65,7 @@ class RegistryEntry:
         self.service = service
         self.data = data
         # Warm the plans at registration time so the first request is as
-        # fast as the thousandth; n_plans is 0 with compilation toggled
-        # off (REPRO_COMPILE=0) and the interpreter serves instead.
+        # fast as the thousandth.
         self.n_plans = warm_service_plans(service)
         self.compiled = compiled_service(service)
         self.buchi_cache: dict[Any, Any] = {}

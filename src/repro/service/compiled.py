@@ -14,22 +14,20 @@ Rule order is preserved exactly (declaration order within a kind;
 state rules grouped by sorted state name as in ``_updated_state``), so
 evaluation order — and therefore the timing of
 :class:`~repro.fol.evaluation.MissingInputConstantError`, error
-condition (i) — is identical to the interpreted path.
+condition (i) — is identical to the reference interpreter's.
 
-**Static pruning** (``REPRO_PRUNE``, default on): with the toggle on,
-compilation consults the whole-service dataflow facts of
-:mod:`repro.analysis.dataflow` and skips plans that provably cannot
-influence any run — whole pages no executable path enters, the
-state/action/target rules of pages that always fire error condition
-(ii), and rules whose condition is refuted under the abstract
+**Static pruning** (always on): compilation consults the whole-service
+dataflow facts of :mod:`repro.analysis.dataflow` and skips plans that
+provably cannot influence any run — whole pages no executable path
+enters, the state/action/target rules of pages that always fire error
+condition (ii), and rules whose condition is refuted under the abstract
 environment *and* reads no input constant (reading one is semantics:
 error condition (i)).  Dropping a plan is observationally neutral by
-construction: an absent page falls back to the bit-identical
-interpreted path in :class:`~repro.service.runs.RunContext` — and is
-never entered anyway — while an absent rule's plan would have evaluated
-to false/empty without raising.  The differential suite in
-``tests/test_dataflow.py`` pins verdict/witness/stats equality across
-the toggle.
+construction: an absent rule's plan would have evaluated to false/empty
+without raising, and a pruned page is never entered by verification
+(:meth:`CompiledService.page` compiles it on demand).  The unpruned
+plans (``prune=False``) are the test-only reference of
+:mod:`repro.reference`.
 
 :class:`SnapshotInterner` hash-conses the :class:`Instance`s and
 :class:`Snapshot`s produced while exploring one run context: equal
@@ -40,16 +38,12 @@ their hash) and equality checks usually short-circuit on identity.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
 import weakref
 from typing import TYPE_CHECKING
 
 from repro.fol.compile import (
     CompiledFormula,
     CompiledQuery,
-    compilation_enabled,
     compile_formula,
     compile_query,
     register_cache_clearer,
@@ -63,52 +57,10 @@ __all__ = [
     "CompiledPage",
     "CompiledService",
     "SnapshotInterner",
-    "compile_service",
     "compiled_service",
     "warm_service_plans",
-    "pruning_enabled",
-    "set_pruning",
-    "pruning",
     "pruning_stats",
 ]
-
-
-_FALSEY = {"0", "off", "no", "false"}
-
-#: process-wide pruning toggle, seeded from ``REPRO_PRUNE`` (default on)
-_PRUNE_ENABLED = (
-    os.environ.get("REPRO_PRUNE", "1").strip().lower() not in _FALSEY
-)
-_PRUNE_LOCK = threading.Lock()
-
-
-def pruning_enabled() -> bool:
-    """Whether compiled plans are pruned with dataflow facts."""
-    return _PRUNE_ENABLED
-
-
-def set_pruning(on: bool) -> bool:
-    """Flip the pruning toggle; returns the previous value.
-
-    Takes effect on the next :func:`compiled_service` call — the cache
-    checks coherence against the toggle, so an already-compiled service
-    is transparently rebuilt when the flag changed.
-    """
-    global _PRUNE_ENABLED
-    with _PRUNE_LOCK:
-        previous = _PRUNE_ENABLED
-        _PRUNE_ENABLED = bool(on)
-    return previous
-
-
-@contextlib.contextmanager
-def pruning(on: bool):
-    """Context manager scoping the pruning toggle (tests, benchmarks)."""
-    previous = set_pruning(on)
-    try:
-        yield
-    finally:
-        set_pruning(previous)
 
 
 class CompiledPage:
@@ -187,16 +139,14 @@ class CompiledService:
     With ``prune=True`` the dataflow facts of
     :mod:`repro.analysis.dataflow` drop pages no executable path
     enters and rules that provably never fire; ``pruned_rules`` /
-    ``pruned_pages`` count what was skipped (0/0 when pruning is off or
-    the analysis found nothing to drop).
+    ``pruned_pages`` count what was skipped (0/0 without pruning or
+    when the analysis found nothing to drop).
     """
 
-    __slots__ = ("service", "pages", "n_plans", "pruned", "pruned_rules",
-                 "pruned_pages")
+    __slots__ = ("service", "pages", "n_plans", "pruned_rules", "pruned_pages")
 
     def __init__(self, service: "WebService", prune: bool = False) -> None:
         self.service = service
-        self.pruned: bool = bool(prune)
         self.pruned_rules: int = 0
         self.pruned_pages: int = 0
         dead_pages: frozenset[str] = frozenset()
@@ -226,25 +176,15 @@ class CompiledService:
             self.pages[name] = compiled
         self.n_plans: int = sum(p.n_plans for p in self.pages.values())
 
-    def page(self, name: str) -> CompiledPage | None:
-        return self.pages.get(name)
-
-    def block_labels(self, sigma_block=None) -> "BlockLabelCache":
-        """A label-bitset cache for batch labelling over one sigma block.
-
-        The verifier threads the returned cache through every sigma of
-        a ``(db_index, sigma_block)`` work unit, so snapshots labelled
-        under one sigma are free for every later sigma whose
-        gamma-scoped inputs agree (see :class:`BlockLabelCache`).
-        """
-        return BlockLabelCache()
-
-
-def compile_service(
-    service: "WebService", prune: bool = False
-) -> CompiledService:
-    """Compile every rule of ``service``, bypassing cache and toggles."""
-    return CompiledService(service, prune=prune)
+    def page(self, name: str) -> CompiledPage:
+        """The plans of page ``name``; a page pruned as unreachable is
+        compiled in full on first access (verification never enters
+        one, an interactive session may)."""
+        compiled = self.pages.get(name)
+        if compiled is None:
+            compiled = CompiledPage(self.service.pages[name])
+            self.pages[name] = compiled
+        return compiled
 
 
 # One compiled form per live service object per process.  Weak keys:
@@ -255,49 +195,37 @@ _CACHE: "weakref.WeakKeyDictionary[WebService, CompiledService]" = (
 
 # clear_compile_cache() must invalidate this layer too: a live service
 # object otherwise keeps serving CompiledPage plans built before the
-# clear (or before a compilation toggle), defeating the clear entirely.
+# clear, defeating the clear entirely.
 register_cache_clearer(_CACHE.clear)
 
 
-def compiled_service(service: "WebService") -> CompiledService | None:
-    """The cached compiled form of ``service`` — None when the global
-    compilation toggle is off (callers then take the interpreted path).
-
-    Coherent against the pruning toggle: a cached entry built under the
-    other setting is rebuilt, so ``pruning(...)`` contexts never serve
-    stale plans.
-    """
-    if not compilation_enabled():
-        return None
-    want_prune = pruning_enabled()
+def compiled_service(service: "WebService") -> CompiledService:
+    """The cached, dataflow-pruned compiled form of ``service``."""
     compiled = _CACHE.get(service)
-    if compiled is None or compiled.pruned != want_prune:
-        compiled = CompiledService(service, prune=want_prune)
+    if compiled is None:
+        compiled = CompiledService(service, prune=True)
         _CACHE[service] = compiled
     return compiled
 
 
 def warm_service_plans(service: "WebService") -> int:
-    """Ensure the service's plans exist; the number of plans (0 = off).
+    """Ensure the service's plans exist; the number of plans.
 
     Called by the verification entry points (next to the Büchi/Kripke
     construction, under the ``plan.compiled`` trace event) and by the
     parallel backend's worker initialiser, so units never pay compile
     time.
     """
-    compiled = compiled_service(service)
-    return compiled.n_plans if compiled is not None else 0
+    return compiled_service(service).n_plans
 
 
 def pruning_stats(service: "WebService") -> tuple[int, int]:
     """``(pruned_rules, pruned_pages)`` of the service's cached plans.
 
-    (0, 0) when compilation is off or pruning dropped nothing; feeds
-    the ``plan.pruned`` trace event at the verification entry points.
+    (0, 0) when pruning dropped nothing; feeds the ``plan.pruned``
+    trace event at the verification entry points.
     """
     compiled = compiled_service(service)
-    if compiled is None:
-        return (0, 0)
     return (compiled.pruned_rules, compiled.pruned_pages)
 
 

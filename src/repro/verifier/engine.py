@@ -34,10 +34,7 @@ CLI and the server translate their inputs into plain kwargs (via this
 module's shared table), the driver consults the ``REPRO_*`` variables
 only for options still unset, and the table's defaults fill the rest.
 The values that actually governed a run are recorded in
-``result.stats["config"]`` for provenance — worker processes receive
-the *resolved* toggles through the task spec, so a pool can never
-disagree with its parent about ``REPRO_SETWISE``/``REPRO_PRUNE``/
-``REPRO_COMPILE``.
+``result.stats["config"]`` for provenance.
 
 ROADMAP item 3 (work-stealing scheduler) plugs in at exactly one seam:
 the :func:`~repro.verifier.parallel.run_units` call inside
@@ -55,15 +52,9 @@ from typing import (
 )
 
 from repro.obs import Tracer, finalize_result, resolve_tracer
-from repro.fol.bitset import setwise_enabled
-from repro.fol.compile import compilation_enabled
 from repro.schema.database import Database
 from repro.schema.enumerate import canonical_domain, enumerate_databases
-from repro.service.compiled import (
-    pruning_enabled,
-    pruning_stats,
-    warm_service_plans,
-)
+from repro.service.compiled import pruning_stats, warm_service_plans
 from repro.service.webservice import WebService
 from repro.verifier.budget import Budget, Checkpoint, degrade
 from repro.verifier.parallel import (
@@ -740,15 +731,6 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         )
         if proc.checkpoint_extra is not None:
             sup.frontier_kwargs["extra"] = dict(proc.checkpoint_extra)
-    # The evaluation-engine toggles, resolved here and shipped with the
-    # task spec: pool workers apply the *parent's* resolved values
-    # instead of re-reading the environment, so a programmatic
-    # set_setwise()/set_pruning() in the parent binds the whole pool.
-    toggles = {
-        "compile": compilation_enabled(),
-        "setwise": setwise_enabled(),
-        "prune": pruning_enabled(),
-    }
     spec = TaskSpec(
         procedure=proc.unit_procedure,
         service=service,
@@ -756,7 +738,6 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         unit_limits=proc.unit_limits(gov),
         traced=tr.active,
         faults=sup.plan,
-        toggles=toggles,
     )
     snap_base = gov.snapshots_total
     stream = UnitStream(
@@ -772,9 +753,6 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     config = {
         "procedure": proc.name,
         "workers": n_workers,
-        "compile": toggles["compile"],
-        "setwise": toggles["setwise"],
-        "prune": toggles["prune"],
         "retry": sup.policy.max_retries,
         "unit_timeout_s": sup.policy.unit_timeout_s,
         "checkpoint_every": sup.checkpoint_every,

@@ -289,11 +289,7 @@ class TaskSpec:
     ``faults`` is the deterministic :class:`~repro.faults.FaultPlan`
     under test, if any — workers perform the matching unit-site faults
     before running their checker (None, the default, costs one ``is
-    None`` check per unit).  ``toggles`` carries the parent's resolved
-    evaluation-engine switches (``compile``/``setwise``/``prune``);
-    workers install them before warming plans, so a pool always agrees
-    with its parent even when the parent's toggles were set
-    programmatically rather than via ``REPRO_*`` variables.
+    None`` check per unit).
     """
 
     procedure: str
@@ -302,7 +298,6 @@ class TaskSpec:
     unit_limits: Mapping[str, Any]
     traced: bool = False
     faults: FaultPlan | None = None
-    toggles: Mapping[str, bool] | None = None
 
     def make_unit_budget(self, timeout_s: float | None) -> Budget:
         return Budget(
@@ -352,21 +347,9 @@ def _init_worker(spec: TaskSpec) -> None:
     _load_checkers()
     _WORKER_SPEC = spec
     _WORKER_CACHE = {}
-    # Install the parent's resolved evaluation-engine toggles before any
-    # plan is compiled: under a spawn-style pool the module defaults
-    # would otherwise re-read the environment and could disagree with a
-    # parent that toggled programmatically.
-    if spec.toggles is not None:
-        from repro.fol.bitset import set_setwise
-        from repro.fol.compile import set_compilation
-        from repro.service.compiled import set_pruning
-
-        set_compilation(spec.toggles.get("compile", True))
-        set_setwise(spec.toggles.get("setwise", True))
-        set_pruning(spec.toggles.get("prune", True))
     # Compile the service's rule plans once per worker per TaskSpec (the
     # spec's service is unpickled exactly once per worker), so units never
-    # pay plan-compile time.  No-op when compilation is toggled off.
+    # pay plan-compile time.
     from repro.service.compiled import warm_service_plans
 
     warm_service_plans(spec.service)

@@ -15,7 +15,10 @@ of truth for what "identical" means:
   dict — verdict, labels, witness text, stats *and their insertion
   order*, checkpoint — excluding only ``stats["config"]``, the
   engine-added provenance block that the pre-refactor code never
-  produced.
+  produced;
+- ``_result_fingerprint`` is the comparison key of the
+  production-vs-reference suites (``tests/test_reference.py`` and the
+  per-engine suites): the fingerprint without the worker count.
 
 ``python tests/engine_cases.py`` regenerates the committed oracle at
 ``tests/data/engine_oracle.json``.  The oracle in git was produced by
@@ -150,16 +153,26 @@ def build_options(case, service, workers):
     return options
 
 
-def run_case(case, workers=1):
-    """Execute one case at the given worker count; returns the result."""
+def run_case(case, workers=1, reference=None):
+    """Execute one case at the given worker count; returns the result.
+
+    ``reference`` — a ``(plans, search)`` pair of
+    :func:`repro.reference.reference_engine` — runs the case on those
+    reference engines instead (sequential only).
+    """
     import repro.verifier as verifier
+    from repro.reference import verify_reference
     service = load_spec(case["spec"])
     prop = _build_property(case)
     options = build_options(case, service, workers)
     entry = getattr(verifier, case["entry"])
-    if case["entry"] == "verify_error_free":
-        return service, entry(service, **options)
-    return service, entry(service, prop, **options)
+    args = () if case["entry"] == "verify_error_free" else (prop,)
+    if reference is not None:
+        plans, search = reference
+        return service, verify_reference(
+            entry, service, *args, plans=plans, search=search, **options
+        )
+    return service, entry(service, *args, **options)
 
 
 def fingerprint(result):
@@ -185,6 +198,23 @@ def fingerprint(result):
         "counterexample_database": repr(db) if db is not None else None,
         "checkpoint": ck.to_dict() if ck is not None else None,
     }
+
+
+def _result_fingerprint(result):
+    """:func:`fingerprint` minus what differs between worker counts by
+    design (``stats["workers"]`` and the checkpoint's ``workers``),
+    plus the counterexample run itself (``describe()`` truncates).
+
+    The one comparison key of the production-vs-reference suites: equal
+    fingerprints mean the same verdict, witness and stats.
+    """
+    fp = fingerprint(result)
+    fp["stats"].pop("workers", None)
+    fp["stats_order"] = [k for k in fp["stats_order"] if k != "workers"]
+    if fp["checkpoint"] is not None:
+        fp["checkpoint"].pop("workers", None)
+    fp["run"] = result.counterexample
+    return fp
 
 
 def generate(path=ORACLE_PATH):

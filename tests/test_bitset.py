@@ -13,8 +13,9 @@ Three layers of evidence:
   generator as ``test_compile`` plus every rule formula of the
   ``examples/specs`` corpus;
 - end-to-end ``verify_ltlfo`` fingerprints (verdict, witness, stats)
-  with ``REPRO_SETWISE`` on and off, with and without sigma blocking,
-  sequential and pooled;
+  of production against the valuation-at-a-time reference search
+  (:mod:`repro.reference`), with and without sigma blocking,
+  production sequential and pooled;
 - trace-level accounting: with sigma blocking on, the ``label.bits``
   events show fewer bitsets computed (satellite of ROADMAP item 3).
 """
@@ -29,19 +30,13 @@ from repro.fol import (
     MissingInputConstantError,
     Not,
     Var,
-    compilation,
     compile_formula,
     evaluate_interpreted,
 )
-from repro.fol.bitset import (
-    ValuationBlock,
-    compile_bits,
-    set_setwise,
-    setwise,
-    setwise_enabled,
-)
+from repro.fol.bitset import ValuationBlock, compile_bits
 from repro.ltl import B, G, LTLFOSentence
 from repro.obs import CollectingTracer
+from repro.reference import verify_reference
 from repro.service import RunContext, ServiceBuilder, initial_snapshots, successors
 from repro.verifier import Verdict, verify_ltlfo
 
@@ -54,8 +49,8 @@ from tests.test_compile import (
     _outcome,
     _pingpong,
     _registration,
-    _result_fingerprint,
 )
+from tests.engine_cases import _result_fingerprint
 
 # ---------------------------------------------------------------------------
 # block layout
@@ -219,7 +214,7 @@ def test_bits_specs_corpus(path):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: REPRO_SETWISE on/off is invisible to the verifier
+# end-to-end: production and the valuation-at-a-time reference agree
 # ---------------------------------------------------------------------------
 
 def _session_service():
@@ -254,11 +249,15 @@ def _stored_prop():
     )
 
 
-def _setwise_on_off(call):
-    with compilation(True), setwise(True):
-        on = call()
-    with compilation(True), setwise(False):
-        off = call()
+def _setwise_on_off(service, prop, **options):
+    """Production (set-at-a-time, as ``options`` say) vs the compiled
+    valuation-at-a-time reference, run sequentially with the same
+    ``sigma_block``: identical verdict, witness and stats."""
+    on = verify_ltlfo(service, prop, **options)
+    off = verify_reference(
+        verify_ltlfo, service, prop, plans="pruned", search="valuations",
+        **dict(options, workers=1),
+    )
     assert _result_fingerprint(on) == _result_fingerprint(off)
     return on
 
@@ -266,17 +265,13 @@ def _setwise_on_off(call):
 class TestVerifierSetwiseIdentity:
     def test_ltlfo_holds(self):
         svc = _registration()
-        result = _setwise_on_off(
-            lambda: verify_ltlfo(svc, _stored_prop(), domain_size=2)
-        )
+        result = _setwise_on_off(svc, _stored_prop(), domain_size=2, workers=1)
         assert result.verdict is Verdict.HOLDS
 
     def test_ltlfo_violated_witness_identical(self):
         svc = _pingpong()
         prop = LTLFOSentence((), G(Not(Atom("P2", ()))), name="never P2")
-        result = _setwise_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
+        result = _setwise_on_off(svc, prop, domain_size=2, workers=1)
         assert result.verdict is Verdict.VIOLATED
         assert result.counterexample is not None
 
@@ -284,36 +279,25 @@ class TestVerifierSetwiseIdentity:
         """Blocked units (many sigmas at once) change nothing observable."""
         svc = _session_service()
         blocked = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, sigma_block=8
-            )
+            svc, _stored_prop(), domain_size=2, sigma_block=8, workers=1
         )
         plain = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, sigma_block=1
-            )
+            svc, _stored_prop(), domain_size=2, sigma_block=1, workers=1
         )
         assert _result_fingerprint(blocked) == _result_fingerprint(plain)
 
     def test_sigma_blocked_pool_identical(self):
         svc = _session_service()
         blocked = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, workers=2, sigma_block=4
-            )
+            svc, _stored_prop(), domain_size=2, workers=2, sigma_block=4
         )
         sequential = _setwise_on_off(
-            lambda: verify_ltlfo(svc, _stored_prop(), domain_size=2)
+            svc, _stored_prop(), domain_size=2, workers=1
         )
-        assert blocked.verdict is sequential.verdict
-        # stats["config"] records the differing workers/sigma_block by
-        # construction; everything else must match the sequential run
-        skip = {"workers", "config"}
-        base = {
-            k: v for k, v in sequential.stats.items() if k not in skip
-        }
-        pooled = {k: v for k, v in blocked.stats.items() if k not in skip}
-        assert base == pooled
+        # the fingerprint leaves out the workers stat and stats["config"]
+        # (which records the differing workers/sigma_block by
+        # construction); everything else must match the sequential run
+        assert _result_fingerprint(blocked) == _result_fingerprint(sequential)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +317,14 @@ def test_sigma_blocking_reduces_label_evaluations():
     sigmas instead of being rebuilt per (db, sigma) unit."""
     svc = _session_service()
     prop = _stored_prop()
-    with compilation(True), setwise(True):
-        t_plain = CollectingTracer()
-        plain = verify_ltlfo(
-            svc, prop, domain_size=2, sigma_block=1, tracer=t_plain
-        )
-        t_blocked = CollectingTracer()
-        blocked = verify_ltlfo(
-            svc, prop, domain_size=2, sigma_block=8, tracer=t_blocked
-        )
+    t_plain = CollectingTracer()
+    plain = verify_ltlfo(
+        svc, prop, domain_size=2, sigma_block=1, tracer=t_plain
+    )
+    t_blocked = CollectingTracer()
+    blocked = verify_ltlfo(
+        svc, prop, domain_size=2, sigma_block=8, tracer=t_blocked
+    )
     assert plain.verdict is blocked.verdict
     # stats["config"] records the differing sigma_block by construction
     assert {k: v for k, v in plain.stats.items() if k != "config"} == \
@@ -349,19 +332,3 @@ def test_sigma_blocking_reduces_label_evaluations():
     plain_n, blocked_n = _bits_computed(t_plain), _bits_computed(t_blocked)
     assert plain_n > 0 and blocked_n > 0
     assert blocked_n < plain_n, (blocked_n, plain_n)
-
-
-# ---------------------------------------------------------------------------
-# toggle plumbing
-# ---------------------------------------------------------------------------
-
-def test_set_setwise_restores():
-    previous = set_setwise(False)
-    try:
-        assert not setwise_enabled()
-        with setwise(True):
-            assert setwise_enabled()
-        assert not setwise_enabled()
-    finally:
-        set_setwise(previous)
-    assert setwise_enabled() == previous

@@ -10,8 +10,9 @@ every formula the run machinery can produce.  Two layers of evidence:
   environments (generation is controlled per the completeness contract:
   every mentioned relation is declared, no ``None`` domain values);
 - end-to-end assertions that :func:`verify_ltlfo` and :func:`verify_ctl`
-  return bit-identical verdicts, counterexamples and stats with
-  compilation on and off.
+  return bit-identical verdicts, counterexamples and stats on the
+  production path and on the interpreted reference engine
+  (:mod:`repro.reference`).
 
 Targeted cases pin the exception-parity contract (error condition (i)
 of Definition 2.3 rides on ``MissingInputConstantError`` timing) and
@@ -41,8 +42,6 @@ from repro.fol import (
     Top,
     UnknownRelationError,
     Var,
-    compilation,
-    compilation_enabled,
     compile_formula,
     compile_query,
     evaluate,
@@ -50,13 +49,16 @@ from repro.fol import (
     evaluate_query,
     evaluate_query_interpreted,
 )
-from repro.fol.compile import clear_compile_cache, set_compilation
+from repro.fol.compile import clear_compile_cache
 from repro.fol.evaluation import UnboundVariableError
 from repro.ltl import B, G, LTLFOSentence
+from repro.reference import verify_reference
 from repro.schema.instances import Instance
 from repro.schema.symbols import RelationKind, RelationSymbol
 from repro.service import ServiceBuilder
 from repro.verifier import Verdict, verify_ctl, verify_ltlfo
+
+from tests.engine_cases import _result_fingerprint
 
 # ---------------------------------------------------------------------------
 # random generation (controlled per the completeness contract)
@@ -223,22 +225,21 @@ def test_solve_differential_randomized():
 
 
 def test_wrappers_route_through_toggle():
-    """evaluate/evaluate_query agree with both engines and honour the
-    compilation toggle."""
+    """evaluate/evaluate_query route through compiled plans and agree
+    with the interpreter."""
     rng = random.Random(7)
     for _ in range(60):
         ctx = _gen_ctx(rng)
         free = set(rng.sample(VARS, k=1))
         formula = _gen_formula(rng, 3, free)
         env = {v: rng.choice(VALUES) for v in free}
-        with compilation(True):
-            assert compilation_enabled()
-            on = _outcome(lambda: evaluate(formula, ctx, env))
-        with compilation(False):
-            assert not compilation_enabled()
-            off = _outcome(lambda: evaluate(formula, ctx, env))
-        assert on == off == _outcome(
-            lambda: evaluate_interpreted(formula, ctx, env)
+        targets = tuple(sorted(free))
+        plan = compile_formula(formula, frozenset(env))
+        assert _outcome(lambda: evaluate(formula, ctx, env)) == _outcome(
+            lambda: plan.check(ctx, env)
+        ) == _outcome(lambda: evaluate_interpreted(formula, ctx, env))
+        assert _outcome(lambda: evaluate_query(formula, targets, ctx)) == _outcome(
+            lambda: evaluate_query_interpreted(formula, targets, ctx)
         )
 
 
@@ -305,7 +306,7 @@ def test_page_proposition_parity():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: compilation on/off is invisible to the verifier
+# end-to-end: production and the interpreted reference agree
 # ---------------------------------------------------------------------------
 
 def _pingpong():
@@ -341,24 +342,12 @@ def _registration():
     return b.build()
 
 
-def _result_fingerprint(result):
-    # stats["config"] records the resolved toggles, which differ across
-    # the on/off arms by construction — everything else must match.
-    return (
-        result.verdict,
-        result.procedure,
-        result.method,
-        result.counterexample,
-        {k: v for k, v in result.stats.items() if k != "config"},
-    )
-
-
-def _on_off(call):
-    with compilation(True):
-        clear_compile_cache()
-        on = call()
-    with compilation(False):
-        off = call()
+def _on_off(verify, service, *args, **options):
+    """Production vs the interpreted reference engine: identical
+    verdict, witness and stats."""
+    clear_compile_cache()
+    on = verify(service, *args, **options)
+    off = verify_reference(verify, service, *args, **options)
     assert _result_fingerprint(on) == _result_fingerprint(off)
     return on
 
@@ -371,42 +360,29 @@ class TestVerifierOnOffIdentity:
             B(Atom("record", (Var("x"),)), Not(Atom("stored", (Var("x"),)))),
             name="stored only after recorded",
         )
-        result = _on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
+        result = _on_off(verify_ltlfo, svc, prop, domain_size=2, workers=1)
         assert result.verdict is Verdict.HOLDS
 
     def test_ltlfo_violated_counterexample_identical(self):
         svc = _pingpong()
         prop = LTLFOSentence((), G(Not(Atom("P2", ()))), name="never P2")
-        result = _on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
+        result = _on_off(verify_ltlfo, svc, prop, domain_size=2, workers=1)
         assert result.verdict is Verdict.VIOLATED
         assert result.counterexample is not None
 
     def test_ctl_holds(self):
         svc = _pingpong()
         result = _on_off(
-            lambda: verify_ctl(svc, AG(EF(CAtom("P1"))), domain_size=2)
+            verify_ctl, svc, AG(EF(CAtom("P1"))), domain_size=2, workers=1
         )
         assert result.verdict is Verdict.HOLDS
 
     def test_ctl_violated(self):
         svc = _pingpong()
         result = _on_off(
-            lambda: verify_ctl(svc, AG(CNot(CAtom("P2"))), domain_size=2)
+            verify_ctl, svc, AG(CNot(CAtom("P2"))), domain_size=2, workers=1
         )
         assert result.verdict is Verdict.VIOLATED
-
-
-def test_set_compilation_restores():
-    previous = set_compilation(False)
-    try:
-        assert not compilation_enabled()
-    finally:
-        set_compilation(previous)
-    assert compilation_enabled() == previous
 
 
 # ---------------------------------------------------------------------------
@@ -420,39 +396,11 @@ def test_clear_compile_cache_invalidates_service_plans():
     from repro.service.compiled import compiled_service
 
     svc = _registration()
-    with compilation(True):
-        first = compiled_service(svc)
-        assert first is not None
-        assert compiled_service(svc) is first  # cached while untouched
-        clear_compile_cache()
-        second = compiled_service(svc)
-        assert second is not None
-        assert second is not first
-
-
-def test_toggle_between_verifies_on_same_service():
-    """Toggling compilation between two verify() calls on the *same*
-    service object must not leak plans across the toggle — and the
-    verdict/stats fingerprints must match in all four orderings."""
-    from repro.service.compiled import compiled_service
-
-    svc = _registration()
-    prop = LTLFOSentence(
-        ("x",),
-        B(Atom("record", (Var("x"),)), Not(Atom("stored", (Var("x"),)))),
-        name="stored only after recorded",
-    )
-    with compilation(True):
-        clear_compile_cache()
-        on_1 = verify_ltlfo(svc, prop, domain_size=2)
-    with compilation(False):
-        clear_compile_cache()
-        assert compiled_service(svc) is None
-        off = verify_ltlfo(svc, prop, domain_size=2)
-    with compilation(True):
-        on_2 = verify_ltlfo(svc, prop, domain_size=2)
-    assert _result_fingerprint(on_1) == _result_fingerprint(off)
-    assert _result_fingerprint(on_1) == _result_fingerprint(on_2)
+    first = compiled_service(svc)
+    assert compiled_service(svc) is first  # cached while untouched
+    clear_compile_cache()
+    second = compiled_service(svc)
+    assert second is not first
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ Three layers under test:
 - the D5xx diagnostics it powers, including witness paths in all three
   report formats, stable fingerprints, and baseline suppression;
 - the pruning seam in :mod:`repro.service.compiled`: a differential
-  suite pinning bit-identical verdicts/witnesses/stats across the
-  ``REPRO_PRUNE`` toggle, sequentially and with ``workers=2``.
+  suite pinning bit-identical verdicts/witnesses/stats of the pruned
+  production plans against the unpruned reference plans
+  (:mod:`repro.reference`), production sequential and with
+  ``workers=2``.
 """
 
 import json
@@ -33,16 +35,13 @@ from repro.lint.baseline import BaselineFormatError
 from repro.ltl import G, LTLFOSentence
 from repro.schema.database import Database
 from repro.service import ServiceBuilder
-from repro.service.compiled import (
-    compiled_service,
-    pruning,
-    pruning_enabled,
-    pruning_stats,
-    set_pruning,
-)
+from repro.reference import reference_engine, verify_reference
+from repro.service.compiled import compiled_service, pruning_stats
 from repro.service.runs import RunContext, random_run
 from repro.verifier import Verdict
 from repro.verifier.linear import verify_ltlfo
+
+from tests.engine_cases import _result_fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -392,76 +391,55 @@ def _constant_only_note_service():
 # pruning: stats, cache coherence, and the differential suite
 # ---------------------------------------------------------------------------
 
-def _result_fingerprint(result):
-    # stats["config"] records the resolved toggles, which differ across
-    # the on/off arms by construction — everything else must match.
-    return (
-        result.verdict,
-        result.procedure,
-        result.method,
-        result.counterexample,
-        {k: v for k, v in result.stats.items() if k != "config"},
+def _prune_on_off(verify, service, *args, **options):
+    """Production (pruned plans) vs the unpruned reference plans, run
+    sequentially: identical verdict, witness and stats."""
+    clear_compile_cache()
+    on = verify(service, *args, **options)
+    off = verify_reference(
+        verify, service, *args, plans="unpruned", search="setwise",
+        **dict(options, workers=1),
     )
-
-
-def _prune_on_off(call):
-    """Run ``call`` with pruning on and off; the results must be
-    bit-identical (verdict, procedure, counterexample, stats)."""
-    with pruning(True):
-        clear_compile_cache()
-        on = call()
-    with pruning(False):
-        clear_compile_cache()
-        off = call()
     clear_compile_cache()
     assert _result_fingerprint(on) == _result_fingerprint(off)
     return on
 
 
 class TestPruning:
-    def test_toggle_restores(self):
-        previous = set_pruning(False)
-        try:
-            assert not pruning_enabled()
-        finally:
-            set_pruning(previous)
-        assert pruning_enabled() == previous
-
     def test_demo_prunes_rules_and_pages(self):
         svc = dataflow_demo_service()
-        with pruning(True):
-            clear_compile_cache()
-            rules, pages = pruning_stats(svc)
+        clear_compile_cache()
+        rules, pages = pruning_stats(svc)
         clear_compile_cache()
         assert pages == 2          # DEEP, GHOSTLAND
         assert rules >= 3 + 4      # 3 prunable + the dead pages' rules
 
     def test_pruning_off_is_zero(self):
         svc = dataflow_demo_service()
-        with pruning(False):
-            clear_compile_cache()
+        with reference_engine(svc, plans="unpruned", search="setwise"):
             assert pruning_stats(svc) == (0, 0)
-        clear_compile_cache()
 
-    def test_cache_coherent_across_toggle_flip(self):
-        """A compiled entry built under the other setting is rebuilt —
-        pruning() contexts never serve stale plans."""
+    def test_pruned_page_compiled_on_access(self):
+        """A page pruned as unreachable has no plans until something
+        asks for it; it is then compiled in full."""
         svc = dataflow_demo_service()
-        with pruning(True):
-            clear_compile_cache()
-            pruned = compiled_service(svc)
-            assert pruned is not None and pruned.pruned
-            assert "DEEP" not in pruned.pages
-        with pruning(False):
-            full = compiled_service(svc)
-            assert full is not None and not full.pruned
-            assert "DEEP" in full.pages
-            assert full is not pruned
+        clear_compile_cache()
+        pruned = compiled_service(svc)
+        assert pruned.pruned_pages and "DEEP" not in pruned.pages
+        deep = pruned.page("DEEP")
+        assert pruned.pages["DEEP"] is deep
+        assert deep.pruned_rules == 0
+        page = svc.pages["DEEP"]
+        assert deep.n_plans == (
+            len(page.input_rules) + len(page.state_rules)
+            + len(page.action_rules) + len(page.target_rules)
+        )
         clear_compile_cache()
 
     def test_run_level_differential_on_demo(self):
-        """Random runs over the demo service — pruned pages fall back to
-        the interpreted path bit-identically."""
+        """Random runs over the demo service: the pruned production
+        plans, the unpruned plans and the interpreter agree step by
+        step."""
         svc = dataflow_demo_service()
         db = Database(svc.schema.database)
 
@@ -474,67 +452,61 @@ class TestPruning:
                 out.append(random_run(ctx, steps, rng=seed).snapshots)
             return out
 
-        with pruning(True):
-            clear_compile_cache()
-            on = traces()
-        with pruning(False):
-            clear_compile_cache()
-            off = traces()
         clear_compile_cache()
-        assert on == off
+        on = traces()
+        with reference_engine(svc, plans="unpruned", search="setwise"):
+            off = traces()
+        with reference_engine(svc):
+            interpreted = traces()
+        clear_compile_cache()
+        assert on == off == interpreted
 
     def test_constant_dead_regression_sequential_and_workers(self):
         """Pinned regression: rules dead *only* via input-constant
         propagation are pruned, and verification is bit-identical with
-        pruning on/off — sequentially and under workers=2."""
+        the unpruned reference — production sequential and under
+        workers=2."""
         svc = _constant_dead_service()
-        with pruning(True):
-            clear_compile_cache()
-            rules, pages = pruning_stats(svc)
+        clear_compile_cache()
+        rules, pages = pruning_stats(svc)
         clear_compile_cache()
         assert pages == 1  # DEEP is only reachable through dead MID
         assert rules >= 2  # MID's state + target rules at minimum
 
         prop = LTLFOSentence((), G(Not(Atom("DEEP", ()))), name="never DEEP")
-        result = _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=1)
-        )
+        result = _prune_on_off(verify_ltlfo, svc, prop, domain_size=1, workers=1)
         assert result.verdict is Verdict.HOLDS
         parallel = _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=1, workers=2)
+            verify_ltlfo, svc, prop, domain_size=1, workers=2
         )
         assert parallel.verdict is Verdict.HOLDS
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_seeded_differential(self, seed):
         svc = _random_dead_rule_service(seed)
-        with pruning(True):
-            clear_compile_cache()
-            rules, _pages = pruning_stats(svc)
+        clear_compile_cache()
+        rules, _pages = pruning_stats(svc)
         clear_compile_cache()
         assert rules > 0, "seeded service should carry dead rules"
         last = sorted(svc.pages)[-1]
         prop = LTLFOSentence(
             (), G(Not(Atom(last, ()))), name=f"never {last}"
         )
-        _prune_on_off(lambda: verify_ltlfo(svc, prop, domain_size=2))
+        _prune_on_off(verify_ltlfo, svc, prop, domain_size=2, workers=1)
 
     def test_seeded_differential_with_workers(self):
         svc = _random_dead_rule_service(1)
         prop = LTLFOSentence((), G(Not(Atom("P1", ()))), name="never P1")
-        _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2, workers=2)
-        )
+        _prune_on_off(verify_ltlfo, svc, prop, domain_size=2, workers=2)
 
     def test_plan_pruned_trace_event(self):
         from repro.obs import CollectingTracer
 
         svc = _constant_dead_service()
         prop = LTLFOSentence((), G(Not(Atom("DEEP", ()))), name="never DEEP")
-        with pruning(True):
-            clear_compile_cache()
-            tr = CollectingTracer()
-            verify_ltlfo(svc, prop, domain_size=1, tracer=tr)
+        clear_compile_cache()
+        tr = CollectingTracer()
+        verify_ltlfo(svc, prop, domain_size=1, tracer=tr)
         clear_compile_cache()
         names = [e.name for e in tr.events]
         assert "plan.pruned" in names

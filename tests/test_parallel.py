@@ -356,7 +356,9 @@ class TestExplorationOrder:
 
 class TestStatsAccuracy:
     def test_holds_stats(self):
-        result = verify_ltlfo(_pingpong(), _no_error(), domain_size=1)
+        result = verify_ltlfo(
+            _pingpong(), _no_error(), domain_size=1, workers=1
+        )
         assert result.verdict is Verdict.HOLDS
         assert result.stats["snapshots_explored"] > 0
         assert result.stats["buchi_states"] > 0
@@ -546,7 +548,8 @@ class TestCLIWorkers:
         ck = str(tmp_path / "ck.json")
         code, _, _ = self._run(
             ["verify", spec_path, "--ltl", "G !ERROR", "--domain-size", "1",
-             "--max-databases", "1", "--checkpoint", ck], capsys)
+             "--max-databases", "1", "--workers", "1", "--checkpoint", ck],
+            capsys)
         assert code == 5
         code, _, err = self._run(
             ["verify", spec_path, "--ltl", "G !ERROR", "--resume", ck,
