@@ -255,17 +255,48 @@ class SnapshotInterner:
     memos that are pure functions of their keys: ``choices`` maps a
     (page, provided constants, input options) key to that page's user
     choices, ``inputs`` maps a choice's picks to its interned input
-    instance.  Everything lives and dies with one verification's
-    interner, never process-wide.
+    instance, ``expansions`` maps a configuration (next page, state,
+    prev, actions, ``Γ_i``, scoped sigma) to its interned next
+    snapshots, and ``prevs`` maps (page name, interned inputs) to the
+    interned ``prev`` instance.  Everything lives and dies with one
+    verification's interner, never process-wide.
+
+    The memo keys leave out the database and the extra domain, so one
+    interner serves exactly one ``(service, database, extra_domain)``:
+    :meth:`bind` pins the first triple and refuses any other.
     """
 
-    __slots__ = ("_snapshots", "_instances", "choices", "inputs")
+    __slots__ = (
+        "_snapshots", "_instances", "choices", "inputs", "expansions",
+        "prevs", "_owner",
+    )
 
     def __init__(self) -> None:
         self._snapshots: dict = {}
         self._instances: dict = {}
         self.choices: dict = {}
         self.inputs: dict = {}
+        self.expansions: dict = {}
+        self.prevs: dict = {}
+        self._owner: tuple | None = None
+
+    def bind(self, service, database, extra_domain: frozenset) -> None:
+        """Pin this interner to one ``(service, database, extra_domain)``.
+
+        Raises :class:`ValueError` when a different triple was bound
+        first: its memoised expansions would be wrong for this one.
+        """
+        owner = self._owner
+        if owner is None:
+            self._owner = (service, database, extra_domain)
+            return
+        for have, want in zip(owner, (service, database, extra_domain)):
+            if have is not want and have != want:
+                raise ValueError(
+                    "a SnapshotInterner serves one (service, database, "
+                    "extra_domain); this run context differs from the "
+                    "one it is bound to"
+                )
 
     def snapshot(self, snap):
         """The canonical representative of ``snap``."""

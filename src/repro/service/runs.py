@@ -193,6 +193,9 @@ class RunContext:
         for _page, _kind, formula in service.all_rule_formulas():
             spec_literals |= literals_of(formula)
         self.extra_domain = frozenset(extra_domain) | frozenset(spec_literals)
+        # The interner's memos are keyed without the database and the
+        # extra domain: refuse to share it across different ones.
+        self.interner.bind(service, database, self.extra_domain)
         schema = service.schema
         names = [r.name for r in schema.state.relations]
         names += [r.name for r in schema.input.relations]
@@ -335,33 +338,86 @@ def interned_inputs(ctx: RunContext, choice: UserChoice) -> Instance:
 
 
 def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
-    """All step-0 snapshots: home page, empty state, each possible choice."""
+    """All step-0 snapshots: home page, empty state, each possible choice.
+
+    The returned list is the memoised expansion of the home
+    configuration, shared across calls: callers must not mutate it.
+    """
     service = ctx.service
-    home = service.page(service.home)
-    gamma0 = frozenset(home.input_constants)
     empty = Instance.empty()
+    return _expansion(
+        ctx, service.page(service.home), empty, empty, empty, frozenset()
+    )
+
+
+def _expansion(
+    ctx: RunContext,
+    page: WebPageSchema,
+    state: Instance,
+    prev: Instance,
+    actions: Instance,
+    provided_before: frozenset[str],
+) -> list[Snapshot]:
+    """The interned snapshots at ``page`` for every user choice there.
+
+    This is the choice fan-out of Definition 2.3 for one configuration
+    (page, state, prev, actions, ``Γ_{i-1}`` = ``provided_before``).
+    When an input rule of ``page`` reads an unprovided constant
+    (condition (i)) the only snapshot has ``pending_error`` set.
+
+    The fan-out depends on sigma only through the constants the page
+    can read, ``provided_before`` plus the page's own requests, so it
+    is memoised on the interner under exactly that restriction and
+    built once per exploration.  The returned list is shared: callers
+    must not mutate it.
+    """
+    gamma = provided_before | frozenset(page.input_constants)
+    sigma = ctx.sigma
+    key = (
+        page.name, state, prev, actions, provided_before,
+        tuple(sorted((c, sigma[c]) for c in gamma if c in sigma)),
+    )
+    memo = ctx.interner.expansions
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _fan_out(
+            ctx, page, state, prev, actions, provided_before, gamma
+        )
+    return out
+
+
+def _fan_out(
+    ctx: RunContext,
+    page: WebPageSchema,
+    state: Instance,
+    prev: Instance,
+    actions: Instance,
+    provided_before: frozenset[str],
+    gamma: frozenset[str],
+) -> list[Snapshot]:
+    intern = ctx.interner.snapshot
     try:
-        choices = list(enumerate_choices(ctx, home, empty, empty, gamma0))
+        choices = enumerate_choices(ctx, page, state, prev, gamma)
     except MissingInputConstantError:
-        return [
-            ctx.interner.snapshot(Snapshot(
-                page=home.name,
-                state=empty,
-                inputs=empty,
-                prev=empty,
-                actions=empty,
-                provided_before=frozenset(),
-                pending_error=True,
-            ))
-        ]
+        # Condition (i) against the page's input rules: the snapshot
+        # exists but its own successor is forced to the error page.
+        return [intern(Snapshot(
+            page=page.name,
+            state=state,
+            inputs=Instance.empty(),
+            prev=prev,
+            actions=actions,
+            provided_before=provided_before,
+            pending_error=True,
+        ))]
     return [
-        ctx.interner.snapshot(Snapshot(
-            page=home.name,
-            state=empty,
+        intern(Snapshot(
+            page=page.name,
+            state=state,
             inputs=interned_inputs(ctx, choice),
-            prev=empty,
-            actions=empty,
-            provided_before=frozenset(),
+            prev=prev,
+            actions=actions,
+            provided_before=provided_before,
         ))
         for choice in choices
     ]
@@ -374,7 +430,7 @@ def _updated_state(
     state: Instance,
 ) -> Instance:
     """Apply the three-disjunct state update of Definition 2.3."""
-    new_contents: dict = {sym: rel for sym, rel in state}
+    new_contents: dict = dict(state.items())
     # Several rules with the same head act as the disjunction of their
     # bodies (equivalent to Definition 2.1's single rule).
     for state_name, rules in ctx.compiled.page(page.name).state_updates:
@@ -409,14 +465,22 @@ def _fired_actions(page: WebPageSchema, ectx: EvalContext, ctx: RunContext) -> I
 
 
 def _next_prev(ctx: RunContext, page: WebPageSchema, inputs: Instance) -> Instance:
-    """``P_{i+1}``: current inputs, relabelled over the prev vocabulary."""
-    contents: dict = {}
-    for input_name in page.inputs:
-        sym = ctx.service.schema.input[input_name]
-        tuples = inputs.tuples(sym)
-        if tuples:
-            contents[prev_symbol(sym)] = tuples
-    return ctx.interner.instance(Instance(contents))
+    """``P_{i+1}``: current inputs, relabelled over the prev vocabulary.
+
+    Memoised on the interner per (page name, interned inputs).
+    """
+    key = (page.name, inputs)
+    memo = ctx.interner.prevs
+    prev = memo.get(key)
+    if prev is None:
+        contents: dict = {}
+        for input_name in page.inputs:
+            sym = ctx.service.schema.input[input_name]
+            tuples = inputs.tuples(sym)
+            if tuples:
+                contents[prev_symbol(sym)] = tuples
+        prev = memo[key] = ctx.interner.instance(Instance(contents))
+    return prev
 
 
 @dataclass(frozen=True)
@@ -485,7 +549,12 @@ def deterministic_step(ctx: RunContext, snapshot: Snapshot) -> StepResult:
 
 
 def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
-    """All possible next snapshots of ``snapshot`` (Definition 2.3)."""
+    """All possible next snapshots of ``snapshot`` (Definition 2.3).
+
+    The choice fan-out comes from :func:`_expansion`, so snapshots that
+    step into the same configuration get the same shared list: callers
+    must not mutate it.
+    """
     service = ctx.service
     if snapshot.is_error:
         return [snapshot]
@@ -495,44 +564,10 @@ def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
     step = deterministic_step(ctx, snapshot)
     if step.error:
         return [ctx.interner.snapshot(error_snapshot(service))]
-    next_page_name = step.next_page
-    next_state = step.next_state
-    next_actions = step.next_actions
-    next_prev = step.next_prev
-    gamma = step.gamma
-    next_page = service.page(next_page_name)
-    gamma_next = gamma | frozenset(next_page.input_constants)
-
-    try:
-        choices = list(
-            enumerate_choices(ctx, next_page, next_state, next_prev, gamma_next)
-        )
-    except MissingInputConstantError:
-        # Condition (i) against the next page's input rules: the next
-        # snapshot exists but its own successor is forced to the error page.
-        return [
-            ctx.interner.snapshot(Snapshot(
-                page=next_page_name,
-                state=next_state,
-                inputs=Instance.empty(),
-                prev=next_prev,
-                actions=next_actions,
-                provided_before=gamma,
-                pending_error=True,
-            ))
-        ]
-
-    return [
-        ctx.interner.snapshot(Snapshot(
-            page=next_page_name,
-            state=next_state,
-            inputs=interned_inputs(ctx, choice),
-            prev=next_prev,
-            actions=next_actions,
-            provided_before=gamma,
-        ))
-        for choice in choices
-    ]
+    return _expansion(
+        ctx, service.page(step.next_page), step.next_state, step.next_prev,
+        step.next_actions, step.gamma,
+    )
 
 
 @dataclass

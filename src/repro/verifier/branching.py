@@ -36,6 +36,7 @@ from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.syntax import StateFormula, ctl_size, is_ctl
 from repro.fol.evaluation import MissingInputConstantError
 from repro.schema.database import Database
+from repro.schema.instances import Instance
 from repro.service.classify import ServiceClass, classify
 from repro.service.runs import (
     RunContext,
@@ -136,6 +137,11 @@ def build_snapshot_kripke(
             out.append(tuple(sorted(merged.items())))
         return out
 
+    # The fan-out of a configuration is a pure function of its
+    # arguments: Kripke states stepping into the same configuration
+    # share one successor list (built once, never mutated).
+    entries: dict[tuple, list[KripkeState]] = {}
+
     def entries_for(
         page_name: str,
         state,
@@ -145,8 +151,12 @@ def build_snapshot_kripke(
         gamma: frozenset[str],
         sig: SigmaItems,
     ) -> list[KripkeState]:
+        key = (page_name, state, prev, actions, provided_before, gamma, sig)
+        out = entries.get(key)
+        if out is not None:
+            return out
+        out = []
         page = service.page(page_name)
-        out: list[KripkeState] = []
         for sig2 in constant_assignments(sig, page.input_constants):
             ctx2 = ctx_for(sig2)
             intern = ctx2.interner
@@ -180,6 +190,7 @@ def build_snapshot_kripke(
                         sig2,
                     )
                 )
+        entries[key] = out
         return out
 
     def branch_successors(node: KripkeState) -> list[KripkeState]:
@@ -198,8 +209,6 @@ def build_snapshot_kripke(
             step.next_page, step.next_state, step.next_prev, step.next_actions,
             provided_before=step.gamma, gamma=gamma_next, sig=sig,
         )
-
-    from repro.schema.instances import Instance
 
     home = service.page(service.home)
     empty = Instance.empty()
@@ -233,14 +242,28 @@ def build_snapshot_kripke(
 
     # §4 labelling depends only on the snapshot component, and the
     # shared interner collapsed equal snapshots across sigmas — label
-    # each distinct snapshot once instead of once per Kripke state.
+    # each distinct snapshot once instead of once per Kripke state, as
+    # the union of its page and the labels of its interned instances.
     label_cache: dict[Snapshot, frozenset] = {}
+    instance_labels: dict[Instance, frozenset] = {}
+
+    def labels_of(inst: Instance) -> frozenset:
+        lab = instance_labels.get(inst)
+        if lab is None:
+            lab = instance_labels[inst] = _instance_labels(inst)
+        return lab
+
     labels: dict[KripkeState, frozenset] = {}
     for node in states:
         snap = node[0]
         lab = label_cache.get(snap)
         if lab is None:
-            lab = _labels(service, node)
+            lab = frozenset((snap.page,))
+            if not snap.is_error:
+                lab = lab.union(
+                    labels_of(snap.state), labels_of(snap.inputs),
+                    labels_of(snap.actions),
+                )
             label_cache[snap] = lab
         labels[node] = lab
     # The run tree of Appendix A.2 is rooted at the *empty prefix*; CTL(*)
@@ -257,18 +280,15 @@ def build_snapshot_kripke(
     return KripkeStructure(states, [ROOT_STATE], edges, labels)
 
 
-def _labels(service: WebService, node: KripkeState) -> frozenset:
-    """§4 propositional labelling of one configuration."""
-    snap, _sig = node
-    out: set = {snap.page}
-    if snap.is_error:
-        return frozenset(out)
-    for inst in (snap.state, snap.inputs, snap.actions):
-        for sym, rel in inst:
-            out.add(sym.name)
-            for t in rel:
-                if t:
-                    out.add((sym.name, t))
+def _instance_labels(inst: Instance) -> frozenset:
+    """§4 propositions of one instance: every nonempty symbol, and a
+    ground ``(name, tuple)`` pair for each of its non-empty tuples."""
+    out: set = set()
+    for sym, rel in inst.items():
+        out.add(sym.name)
+        for t in rel:
+            if t:
+                out.add((sym.name, t))
     return frozenset(out)
 
 

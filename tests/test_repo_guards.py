@@ -7,10 +7,15 @@
 - the retired engine switches stay retired: their environment
   variables appear nowhere under ``src/``, ``tests/``, ``benchmarks/``
   or ``.github/``, and their function names nowhere under ``src/`` or
-  ``.github/``.
+  ``.github/``;
+- every use site the traced benchmark patches (``perfbench/layers.py``)
+  still resolves, so a renamed function fails here rather than only in
+  the benchmark's trace mode.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -101,3 +106,39 @@ def test_retired_switches_stay_gone(words, dirs):
         if word in text
     ]
     assert hits == []
+
+
+def _perfbench_layers():
+    """``perfbench/layers.py`` as a module, loaded without installing it."""
+    path = ROOT / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_patch_sites_resolve():
+    layers = _perfbench_layers()
+    sites = [
+        (mod, attr)
+        for table in (layers.SPAN_SITES, layers.RUNS_SITES, layers.ITER_SITES)
+        for mod, attr, _name in table
+    ]
+    assert sites and layers.PLAN_METHODS
+    missing = [
+        f"{mod}.{attr}" for mod, attr in sites
+        if not callable(getattr(importlib.import_module(mod), attr, None))
+    ]
+    # ``getattr(cls, "__call__")`` always finds ``type.__call__``: look
+    # the method up in the class's own MRO instead.
+    methods = list(layers.PLAN_METHODS) + [
+        ("repro.service.runs", "RunContext", "make_eval_context"),
+        ("repro.verifier.linear", "_SnapshotLabeller", "__call__"),
+        ("repro.verifier.linear", "_SnapshotLabeller", "label_bits"),
+    ]
+    for mod, cls, attr in methods:
+        owner = getattr(importlib.import_module(mod), cls, None)
+        mro = [] if owner is None else owner.__mro__[:-1]  # all but object
+        if not any(callable(vars(k).get(attr)) for k in mro):
+            missing.append(f"{mod}.{cls}.{attr}")
+    assert missing == []

@@ -666,3 +666,118 @@ class TestRunSharing:
             assert got.input_values == want.input_values
             assert (got.page, got.page_names) == (want.page, want.page_names)
         assert bool(widened) == (sigma["name"] == "mallory")
+
+    # -- the memoised choice fan-out ---------------------------------------
+
+    @staticmethod
+    def _memo_service():
+        """HP toggles ``go``/``alt``: ``go`` leads to ASK, which requests
+        ``code`` and offers the users equal to it; ``alt`` leads to BAD,
+        whose input rule reads ``later``, a constant never requested."""
+        b = ServiceBuilder("memo")
+        b.database("user", 1)
+        b.input_constant("code", "later")
+        b.input("go")
+        b.input("alt")
+        b.input("pick", 1)
+        hp = b.page("HP", home=True)
+        hp.toggle("go", "alt")
+        hp.target("ASK", "go & !alt")
+        hp.target("BAD", "alt & !go")
+        ask = b.page("ASK")
+        ask.request("code")
+        ask.options("pick", "user(x) & x = code")
+        bad = b.page("BAD")
+        bad.options("pick", "user(x) & x = later")
+        svc = b.build()
+        db = Database(svc.schema.database, {"user": [("alice",), ("bob",)]})
+        return svc, db
+
+    @staticmethod
+    def _start(ctx, **picks):
+        wanted = {(name, ()) for name, on in picks.items() if on}
+        for snap in initial_snapshots(ctx):
+            if {(sym.name, ()) for sym, _rel in snap.inputs} == wanted:
+                return snap
+        raise AssertionError(picks)
+
+    def test_same_configuration_shares_one_successor_list(self, core, core_db):
+        from repro.service.runs import deterministic_step
+
+        ctx = RunContext(core, core_db, sigma={"name": "alice", "password": "pw1"})
+        groups: dict = {}
+        for snap in _reachable(ctx):
+            if snap.is_error or snap.pending_error:
+                continue
+            step = deterministic_step(ctx, snap)
+            if step.error:
+                continue
+            key = (step.next_page, step.next_state, step.next_prev,
+                   step.next_actions, step.gamma)
+            groups.setdefault(key, []).append(snap)
+        shared = [snaps for snaps in groups.values() if len(snaps) > 1]
+        assert shared
+        for snaps in shared:
+            first = successors(ctx, snaps[0])
+            assert all(successors(ctx, s) is first for s in snaps[1:])
+
+    def test_sigmas_agreeing_on_readable_constants_share_the_entry(self):
+        from repro.service import SnapshotInterner
+
+        svc, db = self._memo_service()
+        interner = SnapshotInterner()
+        a = RunContext(svc, db, sigma={"code": "alice", "later": "x"},
+                       interner=interner)
+        b = RunContext(svc, db, sigma={"code": "alice", "later": "y"},
+                       interner=interner)
+        c = RunContext(svc, db, sigma={"code": "bob", "later": "x"},
+                       interner=interner)
+        # HP requests nothing: its fan-out reads no constant at all
+        assert initial_snapshots(a) is initial_snapshots(c)
+        idle = self._start(a)
+        assert successors(a, idle) is successors(c, idle)
+        # ASK reads ``code``: ``later`` lies outside Γ_i ∪ {code}
+        go = self._start(a, go=True)
+        assert successors(a, go) is successors(b, go)
+        assert successors(a, go) is not successors(c, go)
+        for ctx in (a, c):
+            fresh = RunContext(svc, db, sigma=ctx.sigma)
+            assert successors(ctx, go) == successors(fresh, go)
+        assert successors(a, go) != successors(c, go)
+
+    def test_pending_error_expansion_is_memoised(self):
+        from repro.service import SnapshotInterner
+
+        svc, db = self._memo_service()
+        interner = SnapshotInterner()
+        a = RunContext(svc, db, sigma={"code": "alice", "later": "alice"},
+                       interner=interner)
+        b = RunContext(svc, db, sigma={"code": "bob"}, interner=interner)
+        alt = self._start(a, alt=True)
+        nexts = successors(a, alt)
+        assert successors(b, alt) is nexts and successors(a, alt) is nexts
+        (pending,) = nexts
+        assert pending.page == "BAD" and pending.pending_error
+        assert not pending.inputs
+        assert nexts in interner.expansions.values()
+        assert successors(a, pending) == [error_snapshot(svc)]
+
+    def test_interner_serves_one_database(self, toy_service, toy_db):
+        from repro.service import SnapshotInterner
+
+        interner = SnapshotInterner()
+        RunContext(toy_service, toy_db, sigma={}, interner=interner)
+        # another sigma, or an equal copy of the database, is the same triple
+        RunContext(toy_service, toy_db, sigma={"x": 1}, interner=interner)
+        copy = Database(toy_db.schema, {
+            sym.name: toy_db.tuples(sym) for sym in toy_db.schema.relations
+        })
+        RunContext(toy_service, copy, interner=interner)
+        other = Database(toy_db.schema, {})
+        with pytest.raises(ValueError, match="SnapshotInterner"):
+            RunContext(toy_service, other, interner=interner)
+        with pytest.raises(ValueError, match="SnapshotInterner"):
+            RunContext(toy_service, toy_db, extra_domain=("zz",),
+                       interner=interner)
+        with pytest.raises(ValueError, match="SnapshotInterner"):
+            RunContext(build_toy_service(), toy_db, interner=interner)

@@ -2,6 +2,8 @@
 error-freeness (direct and via the Lemma A.5 reduction), the branching
 procedures (Theorems 4.4/4.6/4.9) and the dispatching front door."""
 
+import itertools
+
 import pytest
 
 from repro.ctl import AF, AG, CAtom, CNot, E, EF, EX, PF, PState, PAnd
@@ -46,6 +48,52 @@ def _pingpong():
     p2.toggle("go")
     p2.target("P1", "go")
     return b.build()
+
+
+def _constbranch():
+    """The home page requests ``name`` and branches on ``user(name)``."""
+    b = ServiceBuilder("constbranch")
+    b.database("user", 1)
+    b.input_constant("name")
+    b.input("go")
+    b.state("known")
+    hp = b.page("HP", home=True)
+    hp.request("name")
+    hp.toggle("go")
+    hp.insert("known", b.formula("user(name)"))
+    hp.target("OK", b.formula("go & user(name)"))
+    hp.target("BAD", b.formula("go & !user(name)"))
+    b.page("OK")
+    b.page("BAD")
+    svc = b.build()
+    return svc, Database(svc.schema.database, {"user": [("alice",)]})
+
+
+def _constloop():
+    """ASK requests ``name`` without recording it, so runs under
+    different values meet in one configuration at LOOP; LOOP offers the
+    user named ``name``, and LATE reads ``later``, never requested
+    (error condition (i))."""
+    b = ServiceBuilder("constloop")
+    b.database("user", 1)
+    b.input_constant("name", "later")
+    b.input("go")
+    b.input("pick", 1)
+    hp = b.page("HP", home=True)
+    hp.toggle("go")
+    hp.target("ASK", "go")
+    ask = b.page("ASK")
+    ask.request("name")
+    ask.toggle("go")
+    ask.target("LOOP", "go")
+    ask.target("LATE", "!go")
+    loop = b.page("LOOP")
+    loop.options("pick", "user(x) & x = name")
+    loop.target("HP", "exists x . pick(x)")
+    late = b.page("LATE")
+    late.options("pick", "user(x) & x = later")
+    svc = b.build()
+    return svc, Database(svc.schema.database, {"user": [("alice",), ("bob",)]})
 
 
 def _flagger():
@@ -325,27 +373,136 @@ class TestBranching:
     def test_input_constant_branching(self):
         # two continuations provide different constant values: E-quantified
         # properties distinguish them inside ONE structure.
-        b = ServiceBuilder("constbranch")
-        b.database("user", 1)
-        b.input_constant("name")
-        b.input("go")
-        b.state("known")
-        hp = b.page("HP", home=True)
-        hp.request("name")
-        hp.toggle("go")
-        hp.insert("known", b.formula("user(name)"))
-        hp.target("OK", b.formula("go & user(name)"))
-        hp.target("BAD", b.formula("go & !user(name)"))
-        b.page("OK")
-        b.page("BAD")
-        svc = b.build()
-        db = Database(svc.schema.database, {"user": [("alice",)]})
+        svc, db = _constbranch()
         k = build_snapshot_kripke(svc, db)
         from repro.ctl import satisfying_states
 
         sat = satisfying_states(k, EF(CAtom("OK")))
         sat2 = satisfying_states(k, EF(CAtom("BAD")))
         assert ROOT_STATE in sat and ROOT_STATE in sat2
+
+
+def _reference_kripke(svc, db):
+    """The Lemma A.12 structure by a plain BFS: a fresh run context per
+    sigma, and the fan-out of every edge rebuilt from
+    ``deterministic_step`` and ``enumerate_choices``, never memoised.
+
+    Returns ``(states, successor sets, labels)`` keyed by Kripke state.
+    """
+    from repro.fol.evaluation import MissingInputConstantError
+    from repro.schema import Instance
+    from repro.service.runs import (
+        Snapshot, deterministic_step, enumerate_choices, error_snapshot,
+    )
+    from repro.verifier.engine import fresh_value_pool
+
+    fresh, _prefix = fresh_value_pool(db, len(svc.schema.input_constants))
+    candidates = sorted(db.domain, key=repr) + fresh
+    contexts: dict = {}
+
+    def ctx_for(sig):
+        if sig not in contexts:
+            contexts[sig] = RunContext(svc, db, sigma=dict(sig))
+        return contexts[sig]
+
+    def enter(page_name, state, prev, actions, provided_before, sig):
+        page = svc.page(page_name)
+        gamma = provided_before | frozenset(page.input_constants)
+        new = [c for c in page.input_constants if c not in dict(sig)]
+        out = []
+        for combo in itertools.product(candidates, repeat=len(new)):
+            sig2 = tuple(sorted({**dict(sig), **dict(zip(new, combo))}.items()))
+            try:
+                choices = list(enumerate_choices(
+                    ctx_for(sig2), page, state, prev, gamma
+                ))
+            except MissingInputConstantError:
+                out.append((Snapshot(
+                    page_name, state, Instance.empty(), prev, actions,
+                    provided_before, pending_error=True,
+                ), sig2))
+                continue
+            for choice in choices:
+                inputs = Instance({
+                    svc.schema.input[name]: [t] for name, t in choice.picks
+                })
+                out.append((Snapshot(
+                    page_name, state, inputs, prev, actions, provided_before,
+                ), sig2))
+        return out
+
+    def step(node):
+        snap, sig = node
+        if snap.is_error:
+            return [node]
+        if snap.pending_error:
+            return [(error_snapshot(svc), sig)]
+        res = deterministic_step(ctx_for(sig), snap)
+        if res.error:
+            return [(error_snapshot(svc), sig)]
+        return enter(res.next_page, res.next_state, res.next_prev,
+                     res.next_actions, res.gamma, sig)
+
+    def label(snap):
+        out = {snap.page}
+        if not snap.is_error:
+            for inst in (snap.state, snap.inputs, snap.actions):
+                for sym, rel in inst:
+                    out.add(sym.name)
+                    out.update((sym.name, t) for t in rel if t)
+        return frozenset(out)
+
+    empty = Instance.empty()
+    initial = enter(svc.home, empty, empty, empty, frozenset(), ())
+    succ = {ROOT_STATE: set(initial)}
+    labels = {ROOT_STATE: frozenset()}
+    frontier = list(dict.fromkeys(initial))
+    while frontier:
+        node = frontier.pop()
+        if node in succ:
+            continue
+        nexts = step(node)
+        succ[node] = set(nexts)
+        labels[node] = label(node[0])
+        frontier.extend(n for n in nexts if n not in succ)
+    return set(succ), succ, labels
+
+
+def _kripke_cases():
+    """Every spec of the CTL, fully propositional and input-driven
+    engine cases, each with the databases those cases check, plus two
+    services whose input constants branch inside one structure."""
+    from repro.demo.search_site import figure1_database
+    from repro.verifier.engine import candidate_databases
+    from tests.engine_cases import load_spec
+
+    prop = load_spec("propositional.json")
+    yield "propositional", prop, Database(prop.schema.database, {})
+    site = load_spec("search_site.json")
+    yield "search_site-figure1", site, figure1_database(site)
+    dbs, _size = candidate_databases(site, None, None, 1, True)
+    for i, db in enumerate(itertools.islice(dbs, 3)):
+        yield f"search_site-d1-{i}", site, db
+    svc, db = _constbranch()
+    yield "constbranch", svc, db
+    yield "constbranch-empty", svc, Database(svc.schema.database, {})
+    svc, db = _constloop()
+    yield "constloop", svc, db
+
+
+class TestKripkeDifferential:
+    @pytest.mark.parametrize(
+        "svc, db", [case[1:] for case in _kripke_cases()],
+        ids=[case[0] for case in _kripke_cases()],
+    )
+    def test_memoised_build_matches_plain_bfs(self, svc, db):
+        k = build_snapshot_kripke(svc, db)
+        states, succ, labels = _reference_kripke(svc, db)
+        assert len(k.states) == len(states)
+        assert set(k.states) == states
+        for state in k.states:
+            assert set(k.successors(state)) == succ[state], state
+            assert k.label(state) == labels[state], state
 
 
 # ---------------------------------------------------------------------------
